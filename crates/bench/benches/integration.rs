@@ -31,7 +31,6 @@ fn input(py_depth: usize, native_depth: usize) -> IntegrationInput {
             phase: OpPhase::Forward,
             seq_id: Some(1),
             native_depth: 1,
-            cached_python: Vec::new(),
         }],
         native,
         native_is_python,

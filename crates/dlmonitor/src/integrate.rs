@@ -29,8 +29,6 @@ pub struct ShadowOp {
     /// Native stack depth when the operator was entered — the "memory
     /// location" marker used to place the operator among native frames.
     pub native_depth: usize,
-    /// Python call path cached at entry (the caching optimisation).
-    pub cached_python: Vec<PyFrameInfo>,
 }
 
 /// Snapshots consumed by the integrator.
@@ -119,7 +117,6 @@ mod tests {
             phase: OpPhase::Forward,
             seq_id: None,
             native_depth: depth,
-            cached_python: Vec::new(),
         }
     }
 
@@ -181,7 +178,6 @@ mod tests {
                 phase: OpPhase::Backward,
                 seq_id: Some(7),
                 native_depth: 1,
-                cached_python: vec![],
             }],
             native: vec![
                 native(

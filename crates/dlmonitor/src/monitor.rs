@@ -1,16 +1,17 @@
 //! The DLMonitor runtime.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
-use deepcontext_core::{CallPath, Frame, Interner, OpPhase};
+use deepcontext_core::{CallPath, Frame, FxHashMap, Interner, OpPhase};
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
 use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
 use sim_runtime::{NativeFrameInfo, PyFrameInfo, RuntimeEnv, ThreadCtx, ThreadRegistry};
 
+use crate::cursor::{CursorEntry, ThreadCursor};
 use crate::integrate::{integrate_call_path, IntegrationInput, ShadowOp};
 
 /// Interception domains, mirroring `DLMONITOR_FRAMEWORK` /
@@ -175,13 +176,48 @@ pub struct MonitorStats {
     pub assoc_hits: u64,
 }
 
-#[derive(Debug, Clone)]
-struct AssocRecord {
-    python: Vec<PyFrameInfo>,
-    operators: Vec<(Arc<str>, Option<u64>)>,
+type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
+
+/// The registered callbacks, replaced wholesale on (un)registration so
+/// dispatch iterates a snapshot without allocating.
+type Callbacks = Arc<Vec<(RegistrationId, Domain, EventCb)>>;
+
+/// Forward contexts recorded under autograd sequence ids.
+#[derive(Debug, Default)]
+struct Associations {
+    /// Forward context per sequence id: the forward operator's prefix.
+    records: BTreeMap<u64, Arc<[Frame]>>,
+    /// Sequence id of the latest outermost backward operator.
+    last_backward: Option<u64>,
 }
 
-type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
+impl Associations {
+    /// Resolves the forward context of an outermost backward operator
+    /// with sequence id `seq`, retiring records no backward operator can
+    /// still ask for.
+    ///
+    /// Backward replays the tape newest-first, and several outermost
+    /// backward operators may share one sequence id. So once `seq` is
+    /// replayed, every newer record is done. A backward operator newer
+    /// than the previous one starts a new pass: the previous pass drained
+    /// the tape, so every record up to its last sequence id is done too.
+    fn resolve(&mut self, seq: u64) -> Option<Arc<[Frame]>> {
+        if let Some(last) = self.last_backward.filter(|last| seq > *last) {
+            while self
+                .records
+                .first_key_value()
+                .is_some_and(|(k, _)| *k <= last)
+            {
+                self.records.pop_first();
+            }
+        }
+        while self.records.last_key_value().is_some_and(|(k, _)| *k > seq) {
+            self.records.pop_last();
+        }
+        self.last_backward = Some(seq);
+        self.records.get(&seq).cloned()
+    }
+}
 
 /// The DLMonitor shim.
 ///
@@ -189,9 +225,12 @@ type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
 pub struct DlMonitor {
     env: RuntimeEnv,
     interner: Arc<Interner>,
-    shadows: Mutex<HashMap<u64, Vec<ShadowOp>>>,
-    assoc: Mutex<HashMap<u64, AssocRecord>>,
-    callbacks: RwLock<Vec<(RegistrationId, Domain, EventCb)>>,
+    /// Per-thread calling-context cursors, by tid.
+    cursors: Mutex<FxHashMap<u64, ThreadCursor>>,
+    assoc: Mutex<Associations>,
+    callbacks: RwLock<Callbacks>,
+    /// GPU API frames interned on first use, by `[api_index][vendor_index]`.
+    api_frames: [[OnceLock<Frame>; 2]; 5],
     next_id: AtomicU64,
     sources: RwLock<CallPathSources>,
     cache_enabled: AtomicBool,
@@ -211,9 +250,10 @@ impl DlMonitor {
         Arc::new(DlMonitor {
             env: env.clone(),
             interner,
-            shadows: Mutex::new(HashMap::new()),
-            assoc: Mutex::new(HashMap::new()),
-            callbacks: RwLock::new(Vec::new()),
+            cursors: Mutex::new(FxHashMap::default()),
+            assoc: Mutex::new(Associations::default()),
+            callbacks: RwLock::new(Arc::new(Vec::new())),
+            api_frames: Default::default(),
             next_id: AtomicU64::new(0),
             sources: RwLock::new(CallPathSources::default()),
             cache_enabled: AtomicBool::new(true),
@@ -268,54 +308,57 @@ impl DlMonitor {
         cb: impl Fn(&DlEvent) + Send + Sync + 'static,
     ) -> RegistrationId {
         let id = RegistrationId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        self.callbacks.write().push((id, domain, Arc::new(cb)));
+        Arc::make_mut(&mut *self.callbacks.write()).push((id, domain, Arc::new(cb)));
         id
     }
 
     /// Removes a registered callback.
     pub fn callback_unregister(&self, id: RegistrationId) {
-        self.callbacks.write().retain(|(i, _, _)| *i != id);
+        Arc::make_mut(&mut *self.callbacks.write()).retain(|(i, _, _)| *i != id);
     }
 
-    fn fire(&self, domain: Domain, event: &DlEvent) {
+    /// Delivers the event `make` builds to every `domain` callback. The
+    /// event is built only when such a callback is registered, and the
+    /// callbacks run from a snapshot of the registrations, so one may
+    /// register or unregister callbacks re-entrantly.
+    fn fire(&self, domain: Domain, make: impl FnOnce() -> DlEvent) {
         if self.finalized.load(Ordering::SeqCst) {
             return;
         }
-        let cbs: Vec<EventCb> = self
-            .callbacks
-            .read()
-            .iter()
-            .filter(|(_, d, _)| *d == domain)
-            .map(|(_, _, c)| Arc::clone(c))
-            .collect();
-        for cb in cbs {
-            cb(event);
+        let callbacks = Arc::clone(&*self.callbacks.read());
+        let mut matching = callbacks.iter().filter(|(_, d, _)| *d == domain).peekable();
+        if matching.peek().is_none() {
+            return;
+        }
+        let event = make();
+        for (_, _, cb) in matching {
+            cb(&event);
         }
     }
 
-    /// Attaches to a framework's callback registry: maintains the shadow
-    /// operator stack and forward/backward association, and forwards
+    /// Attaches to a framework's callback registry: maintains the
+    /// per-thread cursor and forward/backward association, and forwards
     /// operator / graph / memory events to `Framework`-domain callbacks.
     ///
-    /// Call this **before** registering profiler callbacks so the shadow
-    /// stack is current when they fire.
+    /// Call this **before** registering profiler callbacks so the cursor
+    /// is current when they fire.
     pub fn attach_framework(self: &Arc<Self>, callbacks: &Arc<CallbackRegistry>) {
         let mut ids = Vec::new();
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_op(move |event| {
             me.on_op_event(event);
-            me.fire(Domain::Framework, &DlEvent::Op(event.clone()));
+            me.fire(Domain::Framework, || DlEvent::Op(event.clone()));
         }));
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_graph(move |event| {
-            me.fire(Domain::Framework, &DlEvent::Graph(event.clone()));
+            me.fire(Domain::Framework, || DlEvent::Graph(event.clone()));
         }));
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_mem(move |event| {
-            me.fire(Domain::Framework, &DlEvent::Mem(event.clone()));
+            me.fire(Domain::Framework, || DlEvent::Mem(event.clone()));
         }));
 
         self.attached_framework
@@ -332,148 +375,242 @@ impl DlMonitor {
             .unwrap_or(Vendor::Nvidia);
         let me = Arc::clone(self);
         let sub = gpu.subscribe(move |data| {
-            let event = GpuCallbackEvent {
-                data: data.clone(),
-                vendor,
-                thread: ThreadRegistry::current(),
-            };
-            me.fire(Domain::Gpu, &DlEvent::Gpu(event));
+            me.fire(Domain::Gpu, || {
+                DlEvent::Gpu(GpuCallbackEvent {
+                    data: data.clone(),
+                    vendor,
+                    thread: ThreadRegistry::current(),
+                })
+            });
         });
         self.attached_gpu.lock().push((Arc::clone(gpu), sub));
     }
 
     fn on_op_event(&self, event: &OpEvent) {
         let tid = event.thread.tid();
+        let mut cursors = self.cursors.lock();
         match event.site {
             Site::Enter => {
-                let cached_python = if self.cache_enabled() {
-                    event.thread.python().walk()
-                } else {
-                    Vec::new()
-                };
-                let entry = ShadowOp {
-                    name: Arc::clone(&event.name),
-                    phase: event.phase,
-                    seq_id: event.seq_id,
-                    native_depth: event.thread.native().depth(),
-                    cached_python,
-                };
-                let mut shadows = self.shadows.lock();
-                let stack = shadows.entry(tid).or_default();
-                if event.phase == OpPhase::Forward {
-                    if let Some(seq) = event.seq_id {
-                        let mut operators: Vec<(Arc<str>, Option<u64>)> = stack
-                            .iter()
-                            .map(|e| (Arc::clone(&e.name), e.seq_id))
-                            .collect();
-                        operators.push((Arc::clone(&event.name), event.seq_id));
-                        self.assoc.lock().insert(
-                            seq,
-                            AssocRecord {
-                                python: event.thread.python().walk(),
-                                operators,
-                            },
-                        );
+                let cursor = cursors.entry(tid).or_default();
+                // An outermost backward operator recovers the forward
+                // context recorded under its sequence id; operators
+                // nested in it inherit that context.
+                let assoc = match (event.phase, event.seq_id) {
+                    (OpPhase::Backward, Some(seq)) if cursor.entries.is_empty() => {
+                        self.assoc.lock().resolve(seq)
                     }
+                    _ => None,
+                };
+                cursor.enter(event, assoc, &self.interner);
+                if let (OpPhase::Forward, Some(seq)) = (event.phase, event.seq_id) {
+                    let record = cursor.association_record();
+                    self.assoc.lock().records.insert(seq, record);
                 }
-                stack.push(entry);
             }
             Site::Exit => {
-                let mut shadows = self.shadows.lock();
-                if let Some(stack) = shadows.get_mut(&tid) {
-                    stack.pop();
+                if let Some(cursor) = cursors.get_mut(&tid) {
+                    cursor.entries.pop();
                 }
             }
         }
     }
 
-    /// Drops recorded forward/backward associations (typically once per
-    /// training iteration, after `backward()` completes, to bound memory).
+    /// Drops every recorded forward/backward association. Backward
+    /// operators entered afterwards lack their forward context; ones
+    /// already running keep theirs. Records retire on their own as
+    /// backward passes replay them, so this is not needed to bound
+    /// memory.
     pub fn clear_associations(&self) {
-        self.assoc.lock().clear();
+        self.assoc.lock().records.clear();
+    }
+
+    /// Forward contexts currently recorded (test/diagnostic hook).
+    pub fn association_count(&self) -> usize {
+        self.assoc.lock().records.len()
     }
 
     /// `dlmonitor_callpath_get`: builds the unified multi-layer call path
     /// for `thread` under the configured sources and cache mode.
+    ///
+    /// With the cache on and both Python and framework frames selected,
+    /// the path is the innermost operator's cursor prefix (outside any
+    /// operator: the thread's Python frames), followed, when native
+    /// frames are collected, by the native frames unwound below that
+    /// operator. Every other case goes through
+    /// [`callpath_reference`](Self::callpath_reference).
     pub fn callpath_get(&self, thread: &Arc<ThreadCtx>) -> CallPath {
+        self.build(thread, 0)
+    }
+
+    /// [`callpath_get`](Self::callpath_get), with room for `extra` frames
+    /// the caller appends.
+    fn build(&self, thread: &Arc<ThreadCtx>, extra: usize) -> CallPath {
         self.stat_built.fetch_add(1, Ordering::Relaxed);
         let sources = self.sources();
         let cache_on = self.cache_enabled();
-
-        let shadow: Vec<ShadowOp> = if sources.framework {
-            self.shadows
-                .lock()
-                .get(&thread.tid())
-                .cloned()
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        if !(cache_on && sources.python && sources.framework) {
+            return self.reference(thread, sources, cache_on, true);
+        }
+        let (prefix, anchor) = {
+            let mut cursors = self.cursors.lock();
+            let cursor = cursors.entry(thread.tid()).or_default();
+            let associated = cursor.associated();
+            match cursor.entries.last() {
+                None => {
+                    let python = cursor.python_frames(thread.python(), &self.interner);
+                    (Arc::clone(python), 0)
+                }
+                // Operators must interleave with native frames by depth:
+                // backward operators under an association (anchored at
+                // the outermost one), or an operator entered above an
+                // enclosing one's native depth.
+                Some(inner)
+                    if sources.native && (associated || inner.peak_depth > inner.native_depth) =>
+                {
+                    drop(cursors);
+                    return self.reference(thread, sources, cache_on, true);
+                }
+                Some(inner) => {
+                    let hits = if associated {
+                        &self.stat_assoc_hits
+                    } else {
+                        &self.stat_cache_hits
+                    };
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    (Arc::clone(&inner.prefix), inner.native_depth)
+                }
+            }
         };
+        let mut frames = Vec::with_capacity(prefix.len() + extra);
+        frames.extend_from_slice(&prefix);
+        if sources.native {
+            self.push_native_tail(thread, anchor, &mut frames);
+        }
+        CallPath::from_frames(frames)
+    }
 
-        // Forward/backward association: a backward operator on this thread
-        // recovers the forward context recorded under its sequence id.
-        let assoc: Option<AssocRecord> = shadow
-            .first()
-            .filter(|e| e.phase == OpPhase::Backward)
-            .and_then(|e| e.seq_id)
-            .and_then(|seq| self.assoc.lock().get(&seq).cloned());
+    /// Appends the native frames above native depth `anchor`, unwound
+    /// step by step from the leaf and interned root-first, minus the
+    /// deepest libpython frame and everything toward the root from it
+    /// (the Python frames stand for those).
+    fn push_native_tail(&self, thread: &ThreadCtx, anchor: usize, frames: &mut Vec<Frame>) {
+        let needed = thread.native().depth().saturating_sub(anchor);
+        let mut cursor = self.env.unwinder().cursor(thread.native());
+        let mut leaf_first = Vec::with_capacity(needed);
+        for _ in 0..needed {
+            match cursor.step() {
+                Some(f) => leaf_first.push(f),
+                None => break,
+            }
+        }
+        let libraries = self.env.libraries();
+        let keep = leaf_first
+            .iter()
+            .position(|f| libraries.is_python_pc(f.pc))
+            .unwrap_or(leaf_first.len());
+        frames.extend(
+            leaf_first[..keep]
+                .iter()
+                .rev()
+                .map(|f| Frame::native(&f.library, f.pc, &f.symbol, &self.interner)),
+        );
+    }
+
+    /// The reference call-path builder, and the test oracle for
+    /// [`callpath_get`](Self::callpath_get), which must agree with it
+    /// exactly. It snapshots the cursor as a shadow stack, picks the
+    /// Python source, unwinds, and merges the three with
+    /// [`integrate_call_path`]. `callpath_get` also delegates to it
+    /// where a path is not "prefix + native tail": with the cache off
+    /// (the §4.1 ablation), with Python or framework frames deselected,
+    /// and with native frames under a backward association, where
+    /// operators interleave with native frames by depth. This method
+    /// leaves the monitor's counters alone.
+    pub fn callpath_reference(&self, thread: &Arc<ThreadCtx>) -> CallPath {
+        self.reference(thread, self.sources(), self.cache_enabled(), false)
+    }
+
+    /// [`callpath_for_gpu`](Self::callpath_for_gpu) through the reference
+    /// builder (the API frame included, built afresh).
+    pub fn callpath_for_gpu_reference(&self, event: &GpuCallbackEvent) -> CallPath {
+        let mut path = event
+            .thread
+            .as_ref()
+            .map(|t| self.callpath_reference(t))
+            .unwrap_or_default();
+        path.push(gpu_api_frame(event.data.api, event.vendor, &self.interner));
+        self.push_kernel_frame(&mut path, &event.data);
+        path
+    }
+
+    fn reference(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        sources: CallPathSources,
+        cache_on: bool,
+        count: bool,
+    ) -> CallPath {
+        // The shadow stack, the Python stack cached when its innermost
+        // operator entered, and the forward context its outermost one
+        // recovered.
+        let snapshot = sources.framework.then(|| {
+            let cursors = self.cursors.lock();
+            let cursor = cursors.get(&thread.tid())?;
+            let inner = cursor.entries.last()?;
+            Some((
+                cursor.entries.iter().map(CursorEntry::shadow_op).collect(),
+                inner.python.to_vec(),
+                cursor.entries[0].assoc.clone(),
+            ))
+        });
+        let (shadow, cached_python, assoc): (Vec<ShadowOp>, Vec<PyFrameInfo>, _) =
+            snapshot.flatten().unwrap_or_default();
 
         let mut prefix = CallPath::new();
         let python: Vec<PyFrameInfo> = if !sources.python {
             Vec::new()
-        } else if let Some(a) = &assoc {
-            self.stat_assoc_hits.fetch_add(1, Ordering::Relaxed);
-            for f in &a.python {
-                prefix.push(Frame::python(&f.file, f.line, &f.function, &self.interner));
+        } else if let Some(context) = &assoc {
+            if count {
+                self.stat_assoc_hits.fetch_add(1, Ordering::Relaxed);
             }
-            for (name, seq) in &a.operators {
-                prefix.push(Frame::operator_with(
-                    name,
-                    OpPhase::Forward,
-                    *seq,
-                    &self.interner,
-                ));
-            }
+            prefix.extend(context.iter().cloned());
             Vec::new()
-        } else if cache_on {
-            if let Some(innermost) = shadow.last() {
+        } else if cache_on && !shadow.is_empty() {
+            if count {
                 self.stat_cache_hits.fetch_add(1, Ordering::Relaxed);
-                innermost.cached_python.clone()
-            } else {
-                thread.python().walk()
             }
+            cached_python
         } else {
             thread.python().walk()
         };
 
         // Native frames. Cached mode (or association) only needs the tail
         // below the relevant operator: a partial unwind.
-        let (native, operators, depth_offset): (Vec<NativeFrameInfo>, Vec<ShadowOp>, usize) =
-            if !sources.native {
-                (Vec::new(), shadow, 0)
-            } else if (cache_on || assoc.is_some()) && !shadow.is_empty() {
-                let anchor = if assoc.is_some() {
-                    shadow.first().expect("non-empty").native_depth
-                } else {
-                    shadow.last().expect("non-empty").native_depth
-                };
-                let depth_now = thread.native().depth();
-                let needed = depth_now.saturating_sub(anchor);
-                let mut cursor = self.env.unwinder().cursor(thread.native());
-                let mut frames = Vec::with_capacity(needed);
-                for _ in 0..needed {
-                    match cursor.step() {
-                        Some(f) => frames.push(f),
-                        None => break,
-                    }
-                }
-                frames.reverse();
-                (frames, shadow, anchor)
+        let (native, depth_offset): (Vec<NativeFrameInfo>, usize) = if !sources.native {
+            (Vec::new(), 0)
+        } else if (cache_on || assoc.is_some()) && !shadow.is_empty() {
+            let anchor = if assoc.is_some() {
+                shadow.first().expect("non-empty").native_depth
             } else {
-                (self.env.unwinder().backtrace(thread.native()), shadow, 0)
+                shadow.last().expect("non-empty").native_depth
             };
+            let depth_now = thread.native().depth();
+            let needed = depth_now.saturating_sub(anchor);
+            let mut cursor = self.env.unwinder().cursor(thread.native());
+            let mut frames = Vec::with_capacity(needed);
+            for _ in 0..needed {
+                match cursor.step() {
+                    Some(f) => frames.push(f),
+                    None => break,
+                }
+            }
+            frames.reverse();
+            (frames, anchor)
+        } else {
+            (self.env.unwinder().backtrace(thread.native()), 0)
+        };
 
-        let operators: Vec<ShadowOp> = operators
+        let operators: Vec<ShadowOp> = shadow
             .into_iter()
             .map(|mut op| {
                 op.native_depth = op.native_depth.saturating_sub(depth_offset);
@@ -501,19 +638,24 @@ impl DlMonitor {
     /// path plus the GPU API frame and (for launches) the kernel frame —
     /// the full Figure 3(b) shape.
     pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent) -> CallPath {
+        let data = &event.data;
+        let extra = 1 + usize::from(data.kernel.is_some());
         let mut path = event
             .thread
             .as_ref()
-            .map(|t| self.callpath_get(t))
+            .map(|t| self.build(t, extra))
             .unwrap_or_default();
-        let api = event.data.api;
-        path.push(Frame::gpu_api(
-            api.api_name(event.vendor),
-            api.api_library(event.vendor),
-            api_pseudo_pc(api),
-            &self.interner,
-        ));
-        if let Some(kernel) = &event.data.kernel {
+        let api = &self.api_frames[api_index(data.api)][vendor_index(event.vendor)];
+        path.push(
+            api.get_or_init(|| gpu_api_frame(data.api, event.vendor, &self.interner))
+                .clone(),
+        );
+        self.push_kernel_frame(&mut path, data);
+        path
+    }
+
+    fn push_kernel_frame(&self, path: &mut CallPath, data: &CallbackData) {
+        if let Some(kernel) = &data.kernel {
             path.push(Frame::gpu_kernel(
                 &kernel.name,
                 &kernel.module,
@@ -521,7 +663,6 @@ impl DlMonitor {
                 &self.interner,
             ));
         }
-        path
     }
 
     /// `dlmonitor_finalize`: detaches every interception and clears
@@ -536,14 +677,18 @@ impl DlMonitor {
         for (gpu, sub) in self.attached_gpu.lock().drain(..) {
             gpu.unsubscribe(sub);
         }
-        self.callbacks.write().clear();
-        self.shadows.lock().clear();
-        self.assoc.lock().clear();
+        *self.callbacks.write() = Arc::new(Vec::new());
+        self.cursors.lock().clear();
+        *self.assoc.lock() = Associations::default();
     }
 
-    /// Depth of the shadow stack for a thread (test/diagnostic hook).
+    /// Live operators on a thread's cursor — its shadow-stack depth
+    /// (test/diagnostic hook).
     pub fn shadow_depth(&self, tid: u64) -> usize {
-        self.shadows.lock().get(&tid).map(Vec::len).unwrap_or(0)
+        self.cursors
+            .lock()
+            .get(&tid)
+            .map_or(0, |cursor| cursor.entries.len())
     }
 }
 
@@ -557,15 +702,30 @@ impl std::fmt::Debug for DlMonitor {
     }
 }
 
-/// Stable pseudo-PC for GPU API frames (distinct per API kind).
-fn api_pseudo_pc(api: ApiKind) -> u64 {
+/// Dense index of an API kind (a row of `DlMonitor::api_frames`).
+fn api_index(api: ApiKind) -> usize {
     match api {
-        ApiKind::LaunchKernel => 0x10,
-        ApiKind::MemcpyAsync => 0x20,
-        ApiKind::MemAlloc => 0x30,
-        ApiKind::MemFree => 0x40,
-        ApiKind::Synchronize => 0x50,
+        ApiKind::LaunchKernel => 0,
+        ApiKind::MemcpyAsync => 1,
+        ApiKind::MemAlloc => 2,
+        ApiKind::MemFree => 3,
+        ApiKind::Synchronize => 4,
     }
+}
+
+/// Dense index of a vendor (a column of `DlMonitor::api_frames`).
+fn vendor_index(vendor: Vendor) -> usize {
+    match vendor {
+        Vendor::Nvidia => 0,
+        Vendor::Amd => 1,
+    }
+}
+
+/// The GPU API frame for `api` under `vendor`'s naming, at a stable
+/// pseudo-PC distinct per API kind.
+fn gpu_api_frame(api: ApiKind, vendor: Vendor, interner: &Interner) -> Frame {
+    let pc = 0x10 * (api_index(api) as u64 + 1);
+    Frame::gpu_api(api.api_name(vendor), api.api_library(vendor), pc, interner)
 }
 
 #[cfg(test)]
@@ -721,6 +881,63 @@ mod tests {
         assert!(bwd_labels.contains(&"aten::index~bwd".to_owned()));
         assert!(bwd_labels.contains(&"indexing_backward_kernel".to_owned()));
         assert!(rig.monitor.stats().assoc_hits >= 1);
+    }
+
+    #[test]
+    fn associations_retire_as_backward_replays_them() {
+        let rig = rig();
+        let main = rig.env.threads().spawn(ThreadRole::Main);
+        let _bind = ThreadRegistry::bind_current(&main);
+        rig.engine.set_grad_enabled(true);
+        let paths = launch_paths(&rig);
+        let core = Arc::clone(rig.engine.core());
+
+        let mut counts = Vec::new();
+        for _ in 0..8 {
+            {
+                let _s = core.python().frame(&main, "train.py", 12, "train_step");
+                for kind in [OpKind::Relu, OpKind::Gelu, OpKind::Relu] {
+                    rig.engine
+                        .op(Op::new(kind), &[TensorMeta::new([64])])
+                        .unwrap();
+                }
+            }
+            rig.engine.backward().unwrap();
+            counts.push(rig.monitor.association_count());
+        }
+        // Each pass leaves only the record of its oldest operator behind,
+        // and the next pass retires it: the count does not grow.
+        assert_eq!(counts, vec![1; 8]);
+
+        // The last pass's backward launches still carry the forward
+        // Python context.
+        let interner = rig.monitor.interner();
+        let paths = paths.lock();
+        let backward: Vec<&CallPath> = paths
+            .iter()
+            .rev()
+            .take(3)
+            .filter(|p| {
+                p.frames().iter().any(|f| {
+                    matches!(
+                        f,
+                        Frame::Operator {
+                            phase: OpPhase::Backward,
+                            ..
+                        }
+                    )
+                })
+            })
+            .collect();
+        assert_eq!(
+            backward.len(),
+            3,
+            "the last pass launched three backward kernels"
+        );
+        for path in backward {
+            assert_eq!(path.frames()[0].short_label(&interner), "train.py:12");
+        }
+        assert!(rig.monitor.stats().assoc_hits >= 24);
     }
 
     #[test]
