@@ -11,7 +11,7 @@ use std::sync::Arc;
 use crate::frame::{CallPath, Frame, FrameKey, FrameKind};
 use crate::fx::FxHashMap;
 use crate::interner::Interner;
-use crate::metrics::{MetricKind, MetricStat, MetricStore};
+use crate::metrics::{MetricKind, MetricStat, MetricStore, StallReason};
 
 /// Identifier of a node within one [`CallingContextTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -174,6 +174,97 @@ impl CallingContextTree {
     /// exclusive bookkeeping such as per-node launch parameters).
     pub fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64) {
         self.nodes[node.index()].metrics.add(kind, value);
+    }
+
+    /// [`attribute`](Self::attribute) of `value`, `n` times, in one
+    /// root-ward walk. Bit for bit equal to `n` sequential calls; each
+    /// node's update is O(1) under the exactness condition of
+    /// [`MetricStat::add_repeated`] (integral `value` equal to the node's
+    /// running mean, integral sum staying below 2^53), one Welford step
+    /// per repeat otherwise.
+    pub fn attribute_repeated(&mut self, node: NodeId, kind: MetricKind, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let mut cur = Some(node);
+        while let Some(id) = cur {
+            let here = &mut self.nodes[id.index()];
+            here.metrics.add_repeated(kind, value, n);
+            cur = here.parent;
+        }
+    }
+
+    /// [`attribute_exclusive`](Self::attribute_exclusive) of `value`, `n`
+    /// times: bit for bit equal to `n` sequential calls, O(1) under the
+    /// exactness condition of [`MetricStat::add_repeated`].
+    pub fn attribute_exclusive_repeated(
+        &mut self,
+        node: NodeId,
+        kind: MetricKind,
+        value: f64,
+        n: u64,
+    ) {
+        self.nodes[node.index()]
+            .metrics
+            .add_repeated(kind, value, n);
+    }
+
+    /// Attributes one PC-sampling record of the kernel context `node`
+    /// (paper §4.2: "extend the call path by inserting the PC of each
+    /// instruction collected") and returns the number of samples.
+    ///
+    /// The record is folded before it touches the tree, into its
+    /// distinct `(pc, stall)` pairs in first-seen order. Each pair adds
+    /// its sample count exclusively to its PC's instruction child, which
+    /// is created on the PC's first pair, so node ids and child order
+    /// are those of sample-by-sample insertion. The record's
+    /// [`InstructionSamples`](MetricKind::InstructionSamples) total and
+    /// each stall reason's total then propagate from `node` to the root
+    /// in one walk. Every sample counts `1.0`, which meets the exactness
+    /// condition of [`MetricStat::add_repeated`] once a node holds a
+    /// sample, so the tree is bit for bit the one that inserting each
+    /// sample's child and calling [`attribute`](Self::attribute) for its
+    /// `InstructionSamples` and `Stall` metrics would build. Records of
+    /// up to 8 distinct pairs are tallied without heap allocation.
+    pub fn attribute_instruction_samples(
+        &mut self,
+        node: NodeId,
+        samples: impl IntoIterator<Item = (u64, StallReason)>,
+    ) -> u64 {
+        let mut tally = SampleTally::new();
+        for (pc, stall) in samples {
+            tally.record(pc, stall);
+        }
+        if tally.total == 0 {
+            return 0;
+        }
+        // Splitting a PC's samples over its stall pairs is exact: each
+        // `add_repeated` equals that many sequential adds.
+        for pair in tally.pairs() {
+            let child = self.insert_child(node, &Frame::instruction(pair.pc));
+            let stall = MetricKind::Stall(pair.stall);
+            self.attribute_exclusive_repeated(
+                child,
+                MetricKind::InstructionSamples,
+                1.0,
+                pair.samples,
+            );
+            self.attribute_exclusive_repeated(child, stall, 1.0, pair.samples);
+        }
+        // One walk for all of the record's kinds: the ancestors' stores
+        // are touched once per record, not once per kind.
+        let mut cur = Some(node);
+        while let Some(id) = cur {
+            let here = &mut self.nodes[id.index()];
+            here.metrics
+                .add_repeated(MetricKind::InstructionSamples, 1.0, tally.total);
+            for code in tally.stall_codes() {
+                let stall = MetricKind::Stall(StallReason::ALL[code]);
+                here.metrics.add_repeated(stall, 1.0, tally.stalls[code]);
+            }
+            cur = here.parent;
+        }
+        tally.total
     }
 
     /// The aggregate of `kind` at `node`.
@@ -547,6 +638,98 @@ impl FoldState {
                 .iter()
                 .map(|s| std::mem::size_of::<MetricStore>() + s.approx_bytes())
                 .sum::<usize>()
+    }
+}
+
+/// Distinct `(pc, stall)` pairs a [`SampleTally`] holds inline before
+/// spilling to the heap. Kernel instruction profiles have a handful of
+/// instructions and most records a handful of samples; keeping the tally
+/// small matters, since it is built once per record.
+const INLINE_PAIRS: usize = 8;
+
+/// How many samples of one record hit `pc` with `stall`.
+#[derive(Debug, Clone, Copy)]
+struct PairTally {
+    pc: u64,
+    stall: StallReason,
+    samples: u64,
+}
+
+/// One PC-sampling record folded to its distinct `(pc, stall)` pairs in
+/// first-seen order (so its PCs, too, are in first-seen order) plus
+/// per-stall totals — see
+/// [`CallingContextTree::attribute_instruction_samples`].
+struct SampleTally {
+    inline: [PairTally; INLINE_PAIRS],
+    inline_len: usize,
+    spill: Vec<PairTally>,
+    /// Samples per stall reason, indexed by code (the order of
+    /// [`StallReason::ALL`]).
+    stalls: [u64; StallReason::ALL.len()],
+    /// Bit `code` set when `stalls[code]` is non-zero.
+    seen: u16,
+    total: u64,
+}
+
+impl SampleTally {
+    fn new() -> Self {
+        const EMPTY: PairTally = PairTally {
+            pc: 0,
+            stall: StallReason::None,
+            samples: 0,
+        };
+        SampleTally {
+            inline: [EMPTY; INLINE_PAIRS],
+            inline_len: 0,
+            spill: Vec::new(),
+            stalls: [0; StallReason::ALL.len()],
+            seen: 0,
+            total: 0,
+        }
+    }
+
+    fn record(&mut self, pc: u64, stall: StallReason) {
+        let code = stall.code();
+        self.total += 1;
+        self.stalls[usize::from(code)] += 1;
+        self.seen |= 1 << code;
+        let same = |t: &PairTally| t.pc == pc && t.stall == stall;
+        if let Some(t) = self.inline[..self.inline_len].iter_mut().find(|t| same(t)) {
+            t.samples += 1;
+        } else if let Some(t) = self.spill.iter_mut().find(|t| same(t)) {
+            t.samples += 1;
+        } else {
+            let fresh = PairTally {
+                pc,
+                stall,
+                samples: 1,
+            };
+            if self.inline_len < INLINE_PAIRS {
+                self.inline[self.inline_len] = fresh;
+                self.inline_len += 1;
+            } else {
+                self.spill.push(fresh);
+            }
+        }
+    }
+
+    /// Distinct `(pc, stall)` pairs in first-seen order.
+    fn pairs(&self) -> impl Iterator<Item = &PairTally> {
+        self.inline[..self.inline_len].iter().chain(&self.spill)
+    }
+
+    /// Codes of the stall reasons the record hit, ascending. Only these
+    /// are visited on the walk, so a record touching two reasons does
+    /// not pay for all ten at every ancestor.
+    fn stall_codes(&self) -> impl Iterator<Item = usize> {
+        let mut seen = self.seen;
+        std::iter::from_fn(move || {
+            (seen != 0).then(|| {
+                let code = seen.trailing_zeros() as usize;
+                seen &= seen - 1;
+                code
+            })
+        })
     }
 }
 

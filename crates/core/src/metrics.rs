@@ -315,6 +315,13 @@ impl MetricStat {
     }
 
     /// Adds one sample.
+    ///
+    /// When `value` is finite, non-zero and bitwise equal to the running
+    /// mean — every sample after the first of a constant-valued metric
+    /// such as a count — the Welford delta is exactly `+0.0`, so the mean
+    /// cannot move and M2 gains `+0.0`; the division is skipped. The
+    /// result is bit for bit the textbook update's.
+    #[inline]
     pub fn add(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
@@ -324,9 +331,78 @@ impl MetricStat {
         if value > self.max {
             self.max = value;
         }
+        if self.repeats_mean(value) {
+            // `m2 + 0.0` rather than nothing: it turns a `-0.0` M2 into
+            // `+0.0`, exactly as `m2 += delta * (value - mean)` would.
+            self.m2 += 0.0;
+            return;
+        }
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (value - self.mean);
+    }
+
+    /// Adds `value` `n` times — bit for bit the same aggregate as `n`
+    /// calls to [`add`](Self::add), in O(1) when that can be done exactly.
+    ///
+    /// The closed form (`count += n`, `sum += n · value`, mean and M2
+    /// untouched) is taken only when it is exact: `value` is a non-zero
+    /// integer bitwise equal to the running mean, the running sum is an
+    /// integer, and `|sum| + n · |value| < 2^53`, so every partial sum of
+    /// the sequential loop is an exactly representable integer. Otherwise
+    /// it adds one sample at a time, re-checking the condition after each
+    /// (so a fresh aggregate pays one Welford step, then the closed form).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use deepcontext_core::MetricStat;
+    ///
+    /// let mut once = MetricStat::new();
+    /// once.add_repeated(1.0, 5);
+    /// let mut looped = MetricStat::new();
+    /// for _ in 0..5 {
+    ///     looped.add(1.0);
+    /// }
+    /// assert_eq!(format!("{once:?}"), format!("{looped:?}"));
+    /// ```
+    #[inline]
+    pub fn add_repeated(&mut self, value: f64, mut n: u64) {
+        /// 2^53: every integer of smaller magnitude is an exact `f64`.
+        const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+        if n == 1 {
+            self.add(value);
+            return;
+        }
+        while n > 0 {
+            if self.repeats_mean(value)
+                && value.fract() == 0.0
+                && self.sum.fract() == 0.0
+                // Rounding is monotone and 2^53 is representable, so a
+                // computed bound below 2^53 implies the exact one is.
+                && self.sum.abs() + n as f64 * value.abs() < EXACT_INTEGERS
+            {
+                self.count += n;
+                self.sum += n as f64 * value;
+                if value < self.min {
+                    self.min = value;
+                }
+                if value > self.max {
+                    self.max = value;
+                }
+                self.m2 += 0.0;
+                return;
+            }
+            self.add(value);
+            n -= 1;
+        }
+    }
+
+    /// Whether adding `value` leaves the Welford state (mean, M2) exactly
+    /// as it is: `value - mean` is `+0.0` and `mean + 0.0 == mean`.
+    #[inline]
+    fn repeats_mean(&self, value: f64) -> bool {
+        value.to_bits() == self.mean.to_bits() && value != 0.0 && value.is_finite()
     }
 
     /// Merges another aggregate into this one (parallel Welford merge).
@@ -406,6 +482,13 @@ impl MetricStat {
         }
     }
 
+    /// Welford's running sum of squared deviations from the mean (M2);
+    /// `stddev() == sqrt(m2() / count)`. Exposed so bit-exactness checks
+    /// can compare the full aggregate state.
+    pub fn m2(&self) -> f64 {
+        self.m2
+    }
+
     /// Whether no samples have been added.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -470,15 +553,32 @@ impl MetricStore {
         self.entries.binary_search_by(|(k, _)| k.cmp(&kind))
     }
 
+    /// The aggregate of `kind`, inserted empty at its sorted position if
+    /// absent.
+    #[inline]
+    fn stat_mut(&mut self, kind: MetricKind) -> &mut MetricStat {
+        let i = match self.position(kind) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (kind, MetricStat::new()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
     /// Adds a sample of `kind`.
     pub fn add(&mut self, kind: MetricKind, value: f64) {
-        match self.position(kind) {
-            Ok(i) => self.entries[i].1.add(value),
-            Err(i) => {
-                let mut stat = MetricStat::new();
-                stat.add(value);
-                self.entries.insert(i, (kind, stat));
-            }
+        self.stat_mut(kind).add(value);
+    }
+
+    /// Adds `value` to `kind` `n` times, bit for bit like `n` calls to
+    /// [`add`](Self::add) (see [`MetricStat::add_repeated`] for when this
+    /// is O(1)). `n == 0` changes nothing — not even the set of kinds.
+    #[inline]
+    pub fn add_repeated(&mut self, kind: MetricKind, value: f64, n: u64) {
+        if n > 0 {
+            self.stat_mut(kind).add_repeated(value, n);
         }
     }
 
@@ -800,8 +900,9 @@ mod tests {
 
     #[test]
     fn stall_reason_codes_round_trip() {
-        for r in StallReason::ALL {
+        for (i, r) in StallReason::ALL.into_iter().enumerate() {
             assert_eq!(StallReason::from_code(r.code()), Some(r));
+            assert_eq!(usize::from(r.code()), i, "ALL is in code order");
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Property-based tests for the core invariants the rest of DeepContext
 //! relies on: CCT structural consistency, inclusive-metric propagation,
-//! Welford aggregation accuracy, merge correctness, and database
-//! round-tripping.
+//! Welford aggregation accuracy, bit-exact repeated-sample fast paths,
+//! merge correctness, and database round-tripping.
 
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, OpPhase, ProfileDb,
-    ProfileMeta,
+    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, NodeId, OpPhase,
+    ProfileDb, ProfileMeta, StallReason,
 };
 use proptest::prelude::*;
 
@@ -56,8 +56,270 @@ fn arb_paths() -> impl Strategy<Value = (Arc<Interner>, Vec<Vec<Frame>>)> {
         .prop_map(move |paths| (Arc::clone(&interner), paths))
 }
 
+/// A copy of `MetricStat::add` as it was before its fast path: the
+/// textbook Welford update the fast paths must reproduce bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct Textbook {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    mean: f64,
+    m2: f64,
+}
+
+impl Textbook {
+    fn new() -> Self {
+        Textbook {
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            mean: 0.0,
+            m2: 0.0,
+        }
+    }
+
+    fn add(&mut self, value: f64) {
+        self.count += 1;
+        self.sum += value;
+        if value < self.min {
+            self.min = value;
+        }
+        if value > self.max {
+            self.max = value;
+        }
+        let delta = value - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (value - self.mean);
+    }
+
+    /// Count, then the bit patterns of sum, min, max, mean and M2.
+    fn bits(&self) -> (u64, [u64; 5]) {
+        (
+            self.count,
+            [self.sum, self.min, self.max, self.mean, self.m2].map(f64::to_bits),
+        )
+    }
+}
+
+fn stat_bits(stat: &MetricStat) -> (u64, [u64; 5]) {
+    (
+        stat.count,
+        [stat.sum, stat.min, stat.max, stat.mean(), stat.m2()].map(f64::to_bits),
+    )
+}
+
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+/// Sample values mixing non-integers, small integers of both signs,
+/// zeros, and magnitudes whose sums approach 2^53.
+fn arb_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1e6f64..1e6,
+        (-40i64..40).prop_map(|v| v as f64),
+        prop::sample::select(vec![0.0, -0.0, 1.0, -1.0, 0.1, 2.5, -3.75]),
+        (0u64..16).prop_map(|k| TWO_53 - k as f64),
+        (1u64..8).prop_map(|k| (1u64 << 50) as f64 * k as f64),
+    ]
+}
+
+/// A prior history: a run of random values, then a run of one repeated
+/// value (so the running mean often equals the next value exactly).
+fn arb_history() -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec(arb_value(), 0..12),
+        arb_value(),
+        0usize..12,
+    )
+        .prop_map(|(mut values, repeated, times)| {
+            values.extend(std::iter::repeat_n(repeated, times));
+            values
+        })
+}
+
+/// Replays `history` into a `MetricStat` (fast-path `add`) and a
+/// `Textbook`, asserting they agree bit for bit after every sample.
+fn replay(history: &[f64]) -> (MetricStat, Textbook) {
+    let mut stat = MetricStat::new();
+    let mut book = Textbook::new();
+    for &v in history {
+        stat.add(v);
+        book.add(v);
+        assert_eq!(stat_bits(&stat), book.bits(), "after adding {v:?}");
+    }
+    (stat, book)
+}
+
+/// Whether `add_repeated(value, n)` on `stat` may take the closed form.
+fn closed_form_applies(stat: &MetricStat, value: f64, n: u64) -> bool {
+    value.to_bits() == stat.mean().to_bits()
+        && value != 0.0
+        && value.fract() == 0.0
+        && stat.sum.fract() == 0.0
+        && stat.sum.abs() + n as f64 * value.abs() < TWO_53
+}
+
+/// Checks `add_repeated(value, n)` against `n` textbook adds.
+fn check_add_repeated(history: &[f64], value: f64, n: u64) {
+    let (mut stat, mut book) = replay(history);
+    stat.add_repeated(value, n);
+    for _ in 0..n {
+        book.add(value);
+    }
+    assert_eq!(
+        stat_bits(&stat),
+        book.bits(),
+        "{history:?} then {value:?} x {n}"
+    );
+}
+
+/// The attribution every sink performed before PC-sampling records were
+/// aggregated: one child and two propagating attributions per sample.
+fn per_sample_reference(
+    tree: &mut CallingContextTree,
+    node: NodeId,
+    samples: &[(u64, StallReason)],
+) {
+    for &(pc, stall) in samples {
+        let child = tree.insert_child(node, &Frame::instruction(pc));
+        tree.attribute(child, MetricKind::InstructionSamples, 1.0);
+        tree.attribute(child, MetricKind::Stall(stall), 1.0);
+    }
+}
+
+/// Asserts two trees are identical node for node: ids, frame keys,
+/// child order and every metric's count and bit patterns.
+fn assert_trees_bit_identical(got: &CallingContextTree, want: &CallingContextTree) {
+    assert_eq!(got.node_count(), want.node_count());
+    let ids: Vec<NodeId> = want.dfs().collect();
+    assert_eq!(got.dfs().collect::<Vec<_>>(), ids);
+    for id in ids {
+        let (g, w) = (got.node(id), want.node(id));
+        assert_eq!(g.frame().key(), w.frame().key(), "{id}");
+        assert_eq!(g.children(), w.children(), "{id}");
+        let bits = |n: &deepcontext_core::CctNode| -> Vec<_> {
+            n.metrics().iter().map(|(k, s)| (k, stat_bits(s))).collect()
+        };
+        assert_eq!(bits(g), bits(w), "{id}");
+    }
+}
+
+#[test]
+fn add_repeated_covers_the_closed_form_and_the_loop() {
+    let two_51 = (1u64 << 51) as f64;
+    let cases: [(&[f64], f64, u64, bool); 8] = [
+        // A constant count: the PC-sampling case.
+        (&[1.0; 3], 1.0, 1_000, true),
+        (&[-7.0, -7.0], -7.0, 40, true),
+        // A fresh aggregate takes one Welford step, then the closed form.
+        (&[], 1.0, 5, false),
+        // Non-integral values never take the closed form.
+        (&[0.1; 3], 0.1, 50, false),
+        (&[2.5; 2], 2.5, 9, false),
+        // The running mean differs from the value.
+        (&[2.0, 4.0], 1.0, 6, false),
+        // The sum would reach 2^53.
+        (&[two_51; 3], two_51, 1, false),
+        (&[two_51; 3], two_51, 3, false),
+    ];
+    for (history, value, n, closed) in cases {
+        let (stat, _) = replay(history);
+        assert_eq!(
+            closed_form_applies(&stat, value, n),
+            closed,
+            "{history:?} then {value:?} x {n}"
+        );
+        check_add_repeated(history, value, n);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fast_path_add_equals_the_textbook_update(history in arb_history(), tail in arb_history()) {
+        let mut history = history;
+        history.extend(tail);
+        replay(&history);
+    }
+
+    #[test]
+    fn add_repeated_equals_repeated_adds(
+        history in arb_history(),
+        value in arb_value(),
+        repeat_last in prop::bool::ANY,
+        n in 0u64..300,
+    ) {
+        let value = match history.last() {
+            Some(&last) if repeat_last => last,
+            _ => value,
+        };
+        check_add_repeated(&history, value, n);
+    }
+
+    #[test]
+    fn instruction_sample_fold_equals_per_sample_attribution(
+        (interner, paths) in arb_paths(),
+        records in prop::collection::vec(
+            (
+                0usize..40,
+                prop::collection::vec(
+                    (0u64..12, prop::sample::select(StallReason::ALL.to_vec())),
+                    0..40,
+                ),
+            ),
+            1..12,
+        ),
+        prior_in_kernel in prop::bool::ANY,
+    ) {
+        // Up to 12 distinct PCs per record exercises the heap spill past
+        // the inline tally; a non-count prior sample makes the nodes'
+        // running mean differ from 1.0, forcing the per-sample loop.
+        let mut folded = CallingContextTree::with_interner(Arc::clone(&interner));
+        let mut reference = CallingContextTree::with_interner(Arc::clone(&interner));
+        for (pick, samples) in &records {
+            let path = &paths[pick % paths.len()];
+            let node = folded.insert_path(path);
+            prop_assert_eq!(reference.insert_path(path), node);
+            if prior_in_kernel {
+                folded.attribute(node, MetricKind::InstructionSamples, 2.5);
+                reference.attribute(node, MetricKind::InstructionSamples, 2.5);
+            }
+            let n = folded.attribute_instruction_samples(node, samples.iter().copied());
+            per_sample_reference(&mut reference, node, samples);
+            prop_assert_eq!(n, samples.len() as u64);
+        }
+        assert_trees_bit_identical(&folded, &reference);
+        prop_assert_eq!(folded.approx_tree_bytes(), reference.approx_tree_bytes());
+    }
+
+    #[test]
+    fn repeated_attribution_equals_repeated_calls(
+        (interner, paths) in arb_paths(),
+        value in arb_value(),
+        n in 0u64..64,
+        exclusive in prop::bool::ANY,
+    ) {
+        let mut once = CallingContextTree::with_interner(Arc::clone(&interner));
+        let mut looped = CallingContextTree::with_interner(Arc::clone(&interner));
+        for path in &paths {
+            let node = once.insert_path(path);
+            looped.insert_path(path);
+            if exclusive {
+                once.attribute_exclusive_repeated(node, MetricKind::Warps, value, n);
+                for _ in 0..n {
+                    looped.attribute_exclusive(node, MetricKind::Warps, value);
+                }
+            } else {
+                once.attribute_repeated(node, MetricKind::GpuTime, value, n);
+                for _ in 0..n {
+                    looped.attribute(node, MetricKind::GpuTime, value);
+                }
+            }
+        }
+        assert_trees_bit_identical(&once, &looped);
+    }
 
     #[test]
     fn cct_structure_is_consistent((interner, paths) in arb_paths()) {

@@ -7,7 +7,7 @@
 //! per-shard locks) and the asynchronous [`AsyncSink`](crate::AsyncSink)
 //! (producers enqueue into bounded channels and a worker pool attributes).
 
-use deepcontext_core::{CallPath, CallingContextTree, Frame, MetricKind, NodeId};
+use deepcontext_core::{CallPath, CallingContextTree, MetricKind, NodeId};
 use deepcontext_timeline::TimelineSnapshot;
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
@@ -66,16 +66,10 @@ pub fn attribute_activity_metrics(
             0
         }
         ActivityKind::Free { .. } => 0,
+        // Extend the kernel's call path with per-PC instruction frames
+        // (paper §4.2), folding the record to its distinct PCs first.
         ActivityKind::PcSampling { samples, .. } => {
-            // Extend the kernel's call path with per-PC instruction frames
-            // (paper §4.2: "we will extend the call path by inserting the
-            // PC of each instruction collected").
-            for sample in samples {
-                let child = tree.insert_child(node, &Frame::instruction(sample.pc));
-                tree.attribute(child, MetricKind::InstructionSamples, 1.0);
-                tree.attribute(child, MetricKind::Stall(sample.stall), 1.0);
-            }
-            samples.len() as u64
+            tree.attribute_instruction_samples(node, samples.iter().map(|s| (s.pc, s.stall)))
         }
     }
 }

