@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use deepcontext_analyzer::{AnalysisReport, Severity};
-use deepcontext_core::{CallingContextTree, FrameKind, MetricKind, NodeId};
+use deepcontext_core::{CallingContextTree, FrameKind, Interner, MetricKind, NodeId};
 
 /// One box of a flame graph.
 #[derive(Debug, Clone)]
@@ -87,16 +87,18 @@ impl FlameNode {
 pub struct FlameGraph {
     root: FlameNode,
     metric: MetricKind,
-    /// Tree-node provenance for top-down graphs (used by `annotate`).
-    provenance: HashMap<String, Vec<NodeId>>,
+    /// Top-down graphs: the CCT node each box was built from, in box
+    /// preorder (used by `annotate`). Empty for other graphs.
+    provenance: Vec<NodeId>,
 }
 
 impl FlameGraph {
     /// Builds the top-down view: a direct representation of the calling
     /// context tree, pruned to nodes carrying the metric.
     pub fn top_down(cct: &CallingContextTree, metric: MetricKind) -> FlameGraph {
-        let mut provenance: HashMap<String, Vec<NodeId>> = HashMap::new();
-        let root = Self::build_top_down(cct, cct.root(), metric, &mut provenance, String::new());
+        let interner = cct.interner();
+        let mut provenance = Vec::new();
+        let root = Self::build_top_down(cct, &interner, cct.root(), metric, &mut provenance);
         FlameGraph {
             root: root.unwrap_or_else(|| FlameNode::new("<root>".into(), FrameKind::Root, 0.0)),
             metric,
@@ -106,27 +108,21 @@ impl FlameGraph {
 
     fn build_top_down(
         cct: &CallingContextTree,
+        interner: &Interner,
         id: NodeId,
         metric: MetricKind,
-        provenance: &mut HashMap<String, Vec<NodeId>>,
-        path: String,
+        provenance: &mut Vec<NodeId>,
     ) -> Option<FlameNode> {
         let node = cct.node(id);
         let value = node.metrics().sum(metric);
         if value <= 0.0 {
             return None;
         }
-        let interner = cct.interner();
-        let label = node.frame().short_label(&interner);
-        let key = if path.is_empty() {
-            label.clone()
-        } else {
-            format!("{path};{label}")
-        };
-        provenance.entry(key.clone()).or_default().push(id);
+        provenance.push(id);
+        let label = node.frame().short_label(interner);
         let mut fnode = FlameNode::new(label, node.frame().kind(), value);
         for &child in node.children() {
-            if let Some(c) = Self::build_top_down(cct, child, metric, provenance, key.clone()) {
+            if let Some(c) = Self::build_top_down(cct, interner, child, metric, provenance) {
                 fnode.children.push(c);
             }
         }
@@ -179,7 +175,7 @@ impl FlameGraph {
         FlameGraph {
             root,
             metric,
-            provenance: HashMap::new(),
+            provenance: Vec::new(),
         }
     }
 
@@ -197,7 +193,7 @@ impl FlameGraph {
         FlameGraph {
             root,
             metric,
-            provenance: HashMap::new(),
+            provenance: Vec::new(),
         }
     }
 
@@ -228,31 +224,23 @@ impl FlameGraph {
                 .or_default()
                 .push((issue.severity, format!("{}: {}", issue.rule, issue.message)));
         }
+        // Boxes are visited in the preorder `top_down` recorded them in,
+        // so the i-th box is the one built from `provenance[i]`.
         fn walk(
             node: &mut FlameNode,
-            path: String,
-            provenance: &HashMap<String, Vec<NodeId>>,
+            next: &mut usize,
+            provenance: &[NodeId],
             by_node: &HashMap<NodeId, Vec<(Severity, String)>>,
         ) {
-            let key = if path.is_empty() {
-                node.label.clone()
-            } else {
-                format!("{path};{}", node.label)
-            };
-            if let Some(ids) = provenance.get(&key) {
-                for id in ids {
-                    if let Some(issues) = by_node.get(id) {
-                        node.issues.extend(issues.iter().cloned());
-                    }
-                }
+            if let Some(issues) = provenance.get(*next).and_then(|id| by_node.get(id)) {
+                node.issues.extend(issues.iter().cloned());
             }
+            *next += 1;
             for c in &mut node.children {
-                walk(c, key.clone(), provenance, by_node);
+                walk(c, next, provenance, by_node);
             }
         }
-        let provenance = std::mem::take(&mut self.provenance);
-        walk(&mut self.root, String::new(), &provenance, &by_node);
-        self.provenance = provenance;
+        walk(&mut self.root, &mut 0, &self.provenance, &by_node);
     }
 
     /// Total boxes.
@@ -384,5 +372,46 @@ mod tests {
         let gemm = &fg.root().children[0].children[0].children[0];
         assert_eq!(gemm.label, "implicit_gemm");
         assert!(!gemm.issues.is_empty());
+    }
+
+    #[test]
+    fn annotate_keeps_sibling_boxes_with_equal_labels_apart() {
+        use deepcontext_analyzer::{Analyzer, HotspotRule};
+        use deepcontext_core::{ProfileDb, ProfileMeta};
+        // Two call sites of one kernel under one Python frame: distinct
+        // CCT nodes (different pcs) whose boxes share the label "sgemm".
+        let mut cct = CallingContextTree::new();
+        let i = cct.interner();
+        let hot = cct.insert_path(&[
+            Frame::python("train.py", 1, "main", &i),
+            Frame::gpu_kernel("sgemm", "m.so", 0x10, &i),
+        ]);
+        let cold = cct.insert_path(&[
+            Frame::python("train.py", 1, "main", &i),
+            Frame::gpu_kernel("sgemm", "m.so", 0x20, &i),
+        ]);
+        cct.attribute(hot, MetricKind::GpuTime, 80.0);
+        cct.attribute(cold, MetricKind::GpuTime, 20.0);
+        let db = ProfileDb::new(ProfileMeta::default(), cct);
+        let mut analyzer = Analyzer::new();
+        analyzer.add_rule(HotspotRule { threshold: 0.5 });
+        let report = analyzer.analyze(&db);
+        assert_eq!(report.len(), 1);
+        assert_eq!(report.issues()[0].node, hot);
+
+        let mut fg = FlameGraph::top_down(db.cct(), MetricKind::GpuTime);
+        fg.annotate(&report);
+        let kernels = &fg.root().children[0].children;
+        assert_eq!(kernels.len(), 2);
+        assert_eq!(
+            (kernels[0].label.as_str(), kernels[0].value),
+            ("sgemm", 80.0)
+        );
+        assert_eq!(
+            (kernels[1].label.as_str(), kernels[1].value),
+            ("sgemm", 20.0)
+        );
+        assert_eq!(kernels[0].issues.len(), 1, "the flagged call site");
+        assert!(kernels[1].issues.is_empty(), "its equal-label sibling");
     }
 }

@@ -18,9 +18,11 @@
 //! above the flush/fold/worker swim-lanes they explain.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use deepcontext_core::{
-    severity_label, CallingContextTree, FxHashMap, StoredJournal, Sym, TrackKey,
+    severity_label, CallingContextTree, FxHashMap, Interner, Interval, NodeId, StoredJournal, Sym,
+    TrackKey,
 };
 
 use crate::snapshot::TimelineSnapshot;
@@ -70,6 +72,33 @@ fn us(ns: u64) -> String {
     }
 }
 
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+}
+
+/// Appends [`us`]`(ns)` without allocating.
+fn push_us(out: &mut String, ns: u64) {
+    push_u64(out, ns / 1_000);
+    let frac = ns % 1_000;
+    if frac != 0 {
+        out.push('.');
+        out.push((b'0' + (frac / 100) as u8) as char);
+        out.push((b'0' + (frac / 10 % 10) as u8) as char);
+        out.push((b'0' + (frac % 10) as u8) as char);
+    }
+}
+
 /// Renders `snapshot` as a Chrome Trace Format JSON object (see the
 /// [module docs](self)). The result is self-contained: load it directly
 /// in `chrome://tracing` or Perfetto.
@@ -84,22 +113,137 @@ pub fn to_chrome_trace(snapshot: &TimelineSnapshot, cct: Option<&CallingContextT
 /// arguments. The self process is emitted even when the snapshot holds
 /// no self intervals (telemetry off, journal on), so the markers always
 /// have a named home.
+///
+/// Each calling context is rendered at most once per call, however many
+/// slices carry it. A node's `context` string is its parent's string,
+/// then `" > "`, then its own escaped label (the root renders `""`, and
+/// its children start from the empty string). That equals escaping the
+/// `" > "`-joined labels of the whole root-to-node path, as a per-slice
+/// renderer would: escaping maps each character on its own, and `" > "`
+/// contains no character it rewrites. The memo lives only for this
+/// call, so nothing cached can go stale when the tree grows.
 pub fn to_chrome_trace_with_journal(
     snapshot: &TimelineSnapshot,
     cct: Option<&CallingContextTree>,
     journal: Option<&StoredJournal>,
 ) -> String {
-    let journal = journal.filter(|j| !j.is_empty());
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |event: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
+    render(snapshot, cct, journal, SliceRenderer::Memoized)
+}
+
+/// The per-slice exporter that [`to_chrome_trace_with_journal`]
+/// replaced. It rebuilds every slice's context from `frames_to_root`
+/// and renders each slice into its own `String`. Its output is
+/// byte-identical; it is kept as the oracle for tests and benches and
+/// is not meant for production use.
+#[doc(hidden)]
+pub fn to_chrome_trace_reference(
+    snapshot: &TimelineSnapshot,
+    cct: Option<&CallingContextTree>,
+    journal: Option<&StoredJournal>,
+) -> String {
+    render(snapshot, cct, journal, SliceRenderer::PerSlice)
+}
+
+/// How [`render`] writes the `"X"` slice events.
+#[derive(Clone, Copy)]
+enum SliceRenderer {
+    /// Straight into the output, contexts from a [`ContextMemo`].
+    Memoized,
+    /// One `String` per slice, contexts rebuilt from the root each time.
+    PerSlice,
+}
+
+/// The `traceEvents` array under construction.
+struct Events {
+    out: String,
+    first: bool,
+}
+
+impl Events {
+    /// Writes the separator before the next event and returns the
+    /// buffer to write it into.
+    fn begin(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
         }
-        out.push_str("\n  ");
-        out.push_str(&event);
+        self.out.push_str("\n  ");
+        &mut self.out
+    }
+
+    fn push(&mut self, event: &str) {
+        self.begin().push_str(event);
+    }
+}
+
+/// Each CCT node's escaped context string, rendered on first use from
+/// its parent's (see [`to_chrome_trace_with_journal`]).
+struct ContextMemo<'a> {
+    cct: &'a CallingContextTree,
+    interner: Arc<Interner>,
+    rendered: Vec<Option<String>>,
+    /// Scratch stack of not-yet-rendered ancestors, innermost first.
+    pending: Vec<NodeId>,
+}
+
+impl<'a> ContextMemo<'a> {
+    fn new(cct: &'a CallingContextTree) -> Self {
+        ContextMemo {
+            cct,
+            interner: cct.interner(),
+            rendered: vec![None; cct.node_count()],
+            pending: Vec::new(),
+        }
+    }
+
+    /// The context of `node`; `None` when the id is not a node of the
+    /// tree.
+    fn get(&mut self, node: NodeId) -> Option<&str> {
+        if self.rendered.get(node.index())?.is_none() {
+            // Walk up to the nearest rendered ancestor (or the root),
+            // then render back down: iterative, as native stacks are
+            // deep.
+            let mut cur = node;
+            loop {
+                self.pending.push(cur);
+                match self.cct.node(cur).parent() {
+                    Some(parent) if self.rendered[parent.index()].is_none() => cur = parent,
+                    _ => break,
+                }
+            }
+            while let Some(id) = self.pending.pop() {
+                let n = self.cct.node(id);
+                let mut context = String::new();
+                if let Some(parent) = n.parent() {
+                    if self.cct.node(parent).parent().is_some() {
+                        let prefix = self.rendered[parent.index()].as_deref().unwrap_or("");
+                        context.push_str(prefix);
+                        context.push_str(" > ");
+                    }
+                    escape_into(&mut context, &n.frame().label(&self.interner));
+                }
+                self.rendered[id.index()] = Some(context);
+            }
+        }
+        self.rendered[node.index()].as_deref()
+    }
+}
+
+/// The exporter behind both entry points; `slices` picks how the `"X"`
+/// events are written.
+fn render(
+    snapshot: &TimelineSnapshot,
+    cct: Option<&CallingContextTree>,
+    journal: Option<&StoredJournal>,
+    slices: SliceRenderer,
+) -> String {
+    let journal = journal.filter(|j| !j.is_empty());
+    let mut events = Events {
+        out: String::new(),
+        first: true,
     };
+    events
+        .out
+        .push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
 
     // Metadata: name one process per device, one thread per stream, and
     // keep lanes in stream order. The reserved self-telemetry device
@@ -116,13 +260,10 @@ pub fn to_chrome_trace_with_journal(
         } else {
             format!("GPU {device}")
         };
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{device},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-            &mut out,
-        );
+        events.push(&format!(
+            "{{\"ph\":\"M\",\"pid\":{device},\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{{\"name\":\"{name}\"}}}}"
+        ));
     }
     for track in snapshot.tracks() {
         let key = track.key();
@@ -131,22 +272,16 @@ pub fn to_chrome_trace_with_journal(
         } else {
             format!("stream {}", key.stream)
         };
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{lane}\"}}}}",
-                key.device, key.stream
-            ),
-            &mut out,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{}}}}}",
-                key.device, key.stream, key.stream
-            ),
-            &mut out,
-        );
+        events.push(&format!(
+            "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{lane}\"}}}}",
+            key.device, key.stream
+        ));
+        events.push(&format!(
+            "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_sort_index\",\
+             \"args\":{{\"sort_index\":{}}}}}",
+            key.device, key.stream, key.stream
+        ));
     }
 
     // One complete event per interval, in track order (already
@@ -154,8 +289,11 @@ pub fn to_chrome_trace_with_journal(
     // `Sym`s: each distinct symbol is resolved and escaped once —
     // against the snapshot's captured symbol table first, the CCT's
     // interner as fallback, `sym#N` as the last resort — and every
-    // further interval carrying it reuses the memoized escape.
+    // further interval carrying it reuses the memoized escape. Calling
+    // contexts are memoized per node the same way (see
+    // `to_chrome_trace_with_journal`).
     let interner = cct.map(|c| c.interner());
+    let mut contexts = cct.map(ContextMemo::new);
     let mut escaped_names: FxHashMap<Sym, String> = FxHashMap::default();
     for track in snapshot.tracks() {
         let key = track.key();
@@ -173,61 +311,35 @@ pub fn to_chrome_trace_with_journal(
                 }
                 escaped
             });
-            let mut event = String::new();
-            event.push_str("{\"ph\":\"X\",\"pid\":");
-            let _ = write!(event, "{}", key.device);
-            event.push_str(",\"tid\":");
-            let _ = write!(event, "{}", key.stream);
-            event.push_str(",\"name\":\"");
-            event.push_str(name);
-            event.push_str("\",\"cat\":\"");
-            event.push_str(interval.kind.name());
-            event.push_str("\",\"ts\":");
-            event.push_str(&us(interval.start.as_nanos()));
-            event.push_str(",\"dur\":");
-            event.push_str(&us(interval.duration().as_nanos()));
-            event.push_str(",\"args\":{\"correlation\":");
-            let _ = write!(event, "{}", interval.correlation);
-            if let (Some(cct), Some(interner), Some(node)) =
-                (cct, interner.as_ref(), interval.context)
-            {
-                if node.index() < cct.node_count() {
-                    let path = cct
-                        .frames_to_root(node)
-                        .frames()
-                        .iter()
-                        .map(|f| f.label(interner))
-                        .collect::<Vec<_>>()
-                        .join(" > ");
-                    event.push_str(",\"context\":\"");
-                    escape_into(&mut event, &path);
-                    event.push('"');
+            match slices {
+                SliceRenderer::Memoized => {
+                    let context = match (&mut contexts, interval.context) {
+                        (Some(memo), Some(node)) => memo.get(node),
+                        _ => None,
+                    };
+                    write_slice(events.begin(), key, interval, name, context);
+                }
+                SliceRenderer::PerSlice => {
+                    let event = render_slice_reference(key, interval, name, cct, &interner);
+                    events.push(&event);
                 }
             }
-            event.push_str("}}");
-            push(event, &mut out);
         }
     }
 
     // Incident markers: one instant per journaled event, in seq order,
     // on their own named lane of the self process.
     if let Some(journal) = journal {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{INCIDENT_TID},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"incidents\"}}}}",
-                TrackKey::SELF_DEVICE
-            ),
-            &mut out,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{INCIDENT_TID},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{INCIDENT_TID}}}}}",
-                TrackKey::SELF_DEVICE
-            ),
-            &mut out,
-        );
+        events.push(&format!(
+            "{{\"ph\":\"M\",\"pid\":{},\"tid\":{INCIDENT_TID},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"incidents\"}}}}",
+            TrackKey::SELF_DEVICE
+        ));
+        events.push(&format!(
+            "{{\"ph\":\"M\",\"pid\":{},\"tid\":{INCIDENT_TID},\"name\":\"thread_sort_index\",\
+             \"args\":{{\"sort_index\":{INCIDENT_TID}}}}}",
+            TrackKey::SELF_DEVICE
+        ));
         for record in &journal.events {
             let mut event = String::new();
             event.push_str("{\"ph\":\"i\",\"pid\":");
@@ -251,11 +363,84 @@ pub fn to_chrome_trace_with_journal(
                 event.push('"');
             }
             event.push_str("}}");
-            push(event, &mut out);
+            events.push(&event);
         }
     }
+    let mut out = events.out;
     out.push_str("\n]}\n");
     out
+}
+
+/// Writes one complete (`"X"`) event; `context` is the slice's escaped
+/// calling context, if it has one.
+fn write_slice(
+    out: &mut String,
+    key: TrackKey,
+    interval: &Interval,
+    name: &str,
+    context: Option<&str>,
+) {
+    out.push_str("{\"ph\":\"X\",\"pid\":");
+    push_u64(out, u64::from(key.device));
+    out.push_str(",\"tid\":");
+    push_u64(out, u64::from(key.stream));
+    out.push_str(",\"name\":\"");
+    out.push_str(name);
+    out.push_str("\",\"cat\":\"");
+    out.push_str(interval.kind.name());
+    out.push_str("\",\"ts\":");
+    push_us(out, interval.start.as_nanos());
+    out.push_str(",\"dur\":");
+    push_us(out, interval.duration().as_nanos());
+    out.push_str(",\"args\":{\"correlation\":");
+    push_u64(out, interval.correlation);
+    if let Some(context) = context {
+        out.push_str(",\"context\":\"");
+        out.push_str(context);
+        out.push('"');
+    }
+    out.push_str("}}");
+}
+
+/// One complete event as the per-slice exporter rendered it.
+fn render_slice_reference(
+    key: TrackKey,
+    interval: &Interval,
+    name: &str,
+    cct: Option<&CallingContextTree>,
+    interner: &Option<Arc<Interner>>,
+) -> String {
+    let mut event = String::new();
+    event.push_str("{\"ph\":\"X\",\"pid\":");
+    let _ = write!(event, "{}", key.device);
+    event.push_str(",\"tid\":");
+    let _ = write!(event, "{}", key.stream);
+    event.push_str(",\"name\":\"");
+    event.push_str(name);
+    event.push_str("\",\"cat\":\"");
+    event.push_str(interval.kind.name());
+    event.push_str("\",\"ts\":");
+    event.push_str(&us(interval.start.as_nanos()));
+    event.push_str(",\"dur\":");
+    event.push_str(&us(interval.duration().as_nanos()));
+    event.push_str(",\"args\":{\"correlation\":");
+    let _ = write!(event, "{}", interval.correlation);
+    if let (Some(cct), Some(interner), Some(node)) = (cct, interner.as_ref(), interval.context) {
+        if node.index() < cct.node_count() {
+            let path = cct
+                .frames_to_root(node)
+                .frames()
+                .iter()
+                .map(|f| f.label(interner))
+                .collect::<Vec<_>>()
+                .join(" > ");
+            event.push_str(",\"context\":\"");
+            escape_into(&mut event, &path);
+            event.push('"');
+        }
+    }
+    event.push_str("}}");
+    event
 }
 
 #[cfg(test)]
@@ -273,6 +458,14 @@ mod tests {
         assert_eq!(us(1_500), "1.500");
         assert_eq!(us(42), "0.042");
         assert_eq!(us(2_000), "2");
+        for ns in [0, 7, 42, 999, 1_000, 1_001, 1_500, 123_456_789, u64::MAX] {
+            let mut pushed = String::from("x");
+            push_us(&mut pushed, ns);
+            assert_eq!(pushed, format!("x{}", us(ns)));
+            let mut pushed = String::new();
+            push_u64(&mut pushed, ns);
+            assert_eq!(pushed, ns.to_string());
+        }
     }
 
     fn memcpy_snapshot() -> (std::sync::Arc<Interner>, TimelineSnapshot) {
