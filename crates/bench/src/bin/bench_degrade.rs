@@ -30,9 +30,9 @@ use std::time::Instant;
 
 use deepcontext_core::{CallPath, CallingContextTree, Frame, FrameKind, Interner, MetricKind};
 use deepcontext_profiler::{
-    default_directory_map, AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig,
-    PipelineConfig, ShardedSink, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
-    TelemetryConfig, TimelineConfig,
+    AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig, PipelineConfig,
+    ShardedSink, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState, TelemetryConfig,
+    TimelineConfig,
 };
 use dlmonitor::EventOrigin;
 use sim_gpu::{ApiKind, CorrelationId};
@@ -238,7 +238,6 @@ fn main() {
         4,
         true,
         &TimelineConfig::default(),
-        default_directory_map(),
         &TelemetryConfig::default(),
         Failpoints::disabled(),
         &JournalConfig::enabled(),

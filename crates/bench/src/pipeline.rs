@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use deepcontext_core::{CallPath, Interner, StallReason};
 use deepcontext_profiler::{
-    AsyncSink, BackpressurePolicy, BatchingSink, DirectoryMapKind, EventSink, HealthReport,
-    PipelineConfig, ShardedSink, SinkCounters, TelemetryConfig, TimelineConfig,
+    AsyncSink, BackpressurePolicy, BatchingSink, EventSink, Failpoints, HealthReport,
+    JournalConfig, PipelineConfig, ShardedSink, SinkCounters, TelemetryConfig, TimelineConfig,
     DEFAULT_LAUNCH_BATCH,
 };
 use dlmonitor::EventOrigin;
@@ -294,49 +294,6 @@ pub fn measure_sync_batched(
     }
 }
 
-/// Inline ingestion head-to-head over the pluggable correlation
-/// directory layouts ([`DirectoryMapKind`]): the same stream, one
-/// `ShardedSink` pinned to each layout, timeline off — every event pays
-/// one directory bind at launch plus one lookup + remove at activity
-/// resolution, so the producer number isolates the directory's cost.
-pub fn measure_directory_map(
-    label: &str,
-    kind: DirectoryMapKind,
-    events: &[PipelineEvent],
-    interner: &Arc<Interner>,
-    repeats: usize,
-) -> PipelinePoint {
-    let mut best: Option<(f64, f64)> = None;
-    let mut counters = SinkCounters::default();
-    for _ in 0..repeats.max(1) {
-        let sink = ShardedSink::with_directory_map(
-            Arc::clone(interner),
-            SHARDS,
-            true,
-            &TimelineConfig::default(),
-            kind,
-        );
-        let inputs = prepare(events);
-        let point = measure_once(sink.as_ref(), events, inputs, || {});
-        counters = sink.counters();
-        best = Some(match best {
-            Some((p, t)) => (p.min(point.0), t.min(point.1)),
-            None => point,
-        });
-    }
-    let (producer, total) = best.expect("at least one repeat");
-    PipelinePoint {
-        scenario: format!("{label}_directory_{}", kind.name()),
-        producer_ns_per_event: producer,
-        total_ns_per_event: total,
-        counters,
-    }
-}
-
-/// The directory layouts the head-to-head measures.
-pub const DIRECTORY_SWEEP: [DirectoryMapKind; 2] =
-    [DirectoryMapKind::Striped, DirectoryMapKind::Flat];
-
 /// The batch sizes the sweep measures (1 = unbatched baseline).
 pub const BATCH_SWEEP: [usize; 4] = [1, 8, 64, 256];
 
@@ -382,11 +339,6 @@ pub fn pipeline_matrix(
         repeats,
         DEFAULT_LAUNCH_BATCH,
     ));
-    for kind in DIRECTORY_SWEEP {
-        points.push(measure_directory_map(
-            "coarse", kind, &coarse, &interner, repeats,
-        ));
-    }
     points
 }
 
@@ -416,13 +368,14 @@ pub fn telemetry_pass(
     interner: &Arc<Interner>,
     workers: usize,
 ) -> TelemetrySummary {
-    let inner = ShardedSink::with_telemetry(
+    let inner = ShardedSink::with_journal(
         Arc::clone(interner),
         SHARDS,
         true,
         &TimelineConfig::default(),
-        DirectoryMapKind::default(),
         &TelemetryConfig::enabled(),
+        Failpoints::from_env(),
+        &JournalConfig::default(),
     );
     let telemetry = Arc::clone(inner.telemetry().expect("telemetry enabled"));
     let sink = AsyncSink::new(
@@ -468,11 +421,8 @@ mod tests {
     fn matrix_produces_all_scenarios_with_zero_drops() {
         let points = pipeline_matrix(256, 4, 1);
         // 2 sync baselines + (coarse, fine) × batch sweep + 2 batched
-        // sync + the directory-layout head-to-head.
-        assert_eq!(
-            points.len(),
-            4 + 2 * BATCH_SWEEP.len() + DIRECTORY_SWEEP.len()
-        );
+        // sync.
+        assert_eq!(points.len(), 4 + 2 * BATCH_SWEEP.len());
         for p in &points {
             assert!(p.producer_ns_per_event > 0.0, "{}", p.scenario);
             assert!(p.total_ns_per_event >= p.producer_ns_per_event);
@@ -500,12 +450,10 @@ mod tests {
         assert!(batched.counters.batched_events > 0);
         assert_eq!(async_at(1).counters.batched_events, 0);
         assert!(by("coarse_sync_batched").counters.producer_flushes > 0);
-        // Both directory layouts measured, each resolving every record.
-        for kind in DIRECTORY_SWEEP {
-            let p = by(&format!("coarse_directory_{}", kind.name()));
-            assert_eq!(p.counters.orphans, 0, "{}", p.scenario);
-            assert!(p.counters.activities > 0, "{}", p.scenario);
-        }
+        // Inline ingestion resolves every record through the directory.
+        let inline = by("coarse_sync_inline");
+        assert_eq!(inline.counters.orphans, 0);
+        assert!(inline.counters.activities > 0);
     }
 
     #[test]

@@ -32,6 +32,12 @@ const MAGIC_V1: &str = "deepcontext-profile v1";
 const MAGIC_V2: &str = "deepcontext-profile v2";
 const MAGIC_V3: &str = "deepcontext-profile v3";
 
+/// Most records [`ProfileDb::load`] reserves room for up front. Section
+/// counts are untrusted input: a corrupt count must not abort the load on
+/// allocation, so vectors reserve at most this many and grow as records
+/// actually arrive.
+const MAX_RESERVE: usize = 4096;
+
 /// Metadata describing one profiling run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileMeta {
@@ -301,6 +307,11 @@ impl ProfileDb {
             let s = unescape(&next_line()?)?;
             interner.intern(&s);
         }
+        // `intern` collapses a repeated string, which would shift every
+        // later symbol onto the wrong string.
+        if interner.len() != count {
+            return Err(CoreError::parse("duplicate string-table entry".into()));
+        }
 
         let line = next_line()?;
         let node_count: usize = line
@@ -309,10 +320,10 @@ impl ProfileDb {
             .parse()
             .map_err(|e| CoreError::parse(format!("bad node count: {e}")))?;
 
-        let mut raw = Vec::with_capacity(node_count);
+        let mut raw = Vec::with_capacity(node_count.min(MAX_RESERVE));
         for _ in 0..node_count {
             let line = next_line()?;
-            raw.push(parse_node_line(&line)?);
+            raw.push(parse_node_line(&line, count)?);
         }
 
         let line = next_line()?;
@@ -456,12 +467,12 @@ fn parse_timeline_section(
         .ok_or_else(|| CoreError::parse("expected tnames section".into()))?
         .parse()
         .map_err(|e| CoreError::parse(format!("bad timeline name count: {e}")))?;
-    let mut names: Vec<Arc<str>> = Vec::with_capacity(name_count);
+    let mut names: Vec<Arc<str>> = Vec::with_capacity(name_count.min(MAX_RESERVE));
     for _ in 0..name_count {
         names.push(Arc::from(unescape(&next_line()?)?.as_str()));
     }
 
-    let mut intervals = Vec::with_capacity(interval_count);
+    let mut intervals = Vec::with_capacity(interval_count.min(MAX_RESERVE));
     for _ in 0..interval_count {
         let line = next_line()?;
         intervals.push(parse_interval_line(&line, name_count)?);
@@ -480,16 +491,12 @@ fn parse_interval_line(line: &str, name_count: usize) -> Result<Interval, CoreEr
     if fields.len() != 8 {
         return Err(CoreError::parse("malformed interval line".into()));
     }
-    let num = |s: &str, what: &str| -> Result<u64, CoreError> {
-        s.parse()
-            .map_err(|e| CoreError::parse(format!("bad interval {what}: {e}")))
-    };
     let kind = match fields[4] {
         "K" => IntervalKind::Kernel,
         "M" => IntervalKind::Memcpy,
         other => return Err(CoreError::parse(format!("unknown interval kind {other:?}"))),
     };
-    let name_idx = num(fields[5], "name")? as u32;
+    let name_idx: u32 = parse_num(fields[5], "interval name")?;
     if name_idx as usize >= name_count {
         return Err(CoreError::parse(format!(
             "interval name index {name_idx} out of range"
@@ -503,14 +510,14 @@ fn parse_interval_line(line: &str, name_count: usize) -> Result<Interval, CoreEr
     };
     Ok(Interval {
         track: TrackKey {
-            device: num(fields[0], "device")? as u32,
-            stream: num(fields[1], "stream")? as u32,
+            device: parse_num(fields[0], "interval device")?,
+            stream: parse_num(fields[1], "interval stream")?,
         },
-        start: TimeNs(num(fields[2], "start")?),
-        end: TimeNs(num(fields[3], "end")?),
+        start: TimeNs(parse_num(fields[2], "interval start")?),
+        end: TimeNs(parse_num(fields[3], "interval end")?),
         kind,
         name: Sym(name_idx),
-        correlation: num(fields[6], "correlation")?,
+        correlation: parse_num(fields[6], "interval correlation")?,
         context,
     })
 }
@@ -539,12 +546,12 @@ fn parse_journal_section(
         .ok_or_else(|| CoreError::parse("expected jnames section".into()))?
         .parse()
         .map_err(|e| CoreError::parse(format!("bad journal name count: {e}")))?;
-    let mut names: Vec<Arc<str>> = Vec::with_capacity(name_count);
+    let mut names: Vec<Arc<str>> = Vec::with_capacity(name_count.min(MAX_RESERVE));
     for _ in 0..name_count {
         names.push(Arc::from(unescape(&next_line()?)?.as_str()));
     }
 
-    let mut events = Vec::with_capacity(event_count);
+    let mut events = Vec::with_capacity(event_count.min(MAX_RESERVE));
     for _ in 0..event_count {
         let line = next_line()?;
         events.push(parse_journal_event_line(&line, name_count)?);
@@ -565,21 +572,15 @@ fn parse_journal_event_line(
     if fields.len() < 5 {
         return Err(CoreError::parse("truncated journal event line".into()));
     }
-    let num = |s: &str, what: &str| -> Result<u64, CoreError> {
-        s.parse()
-            .map_err(|e| CoreError::parse(format!("bad journal event {what}: {e}")))
-    };
-    let site = num(fields[3], "site")? as u32;
+    let site: u32 = parse_num(fields[3], "journal event site")?;
     if site as usize >= name_count {
         return Err(CoreError::parse(format!(
             "journal site index {site} out of range"
         )));
     }
-    let severity = num(fields[2], "severity")?;
-    let severity = u8::try_from(severity)
-        .map_err(|_| CoreError::parse(format!("journal severity {severity} out of range")))?;
-    let field_count = num(fields[4], "field count")? as usize;
-    if fields.len() != 5 + 2 * field_count {
+    let severity: u8 = parse_num(fields[2], "journal event severity")?;
+    let field_count: usize = parse_num(fields[4], "journal event field count")?;
+    if field_count.checked_mul(2).and_then(|n| n.checked_add(5)) != Some(fields.len()) {
         return Err(CoreError::parse(
             "journal event line field count mismatch".into(),
         ));
@@ -592,8 +593,8 @@ fn parse_journal_event_line(
         ));
     }
     Ok(StoredJournalEvent {
-        seq: num(fields[0], "seq")?,
-        ts_ns: num(fields[1], "timestamp")?,
+        seq: parse_num(fields[0], "journal event seq")?,
+        ts_ns: parse_num(fields[1], "journal event timestamp")?,
         severity,
         site,
         fields: kv,
@@ -612,7 +613,8 @@ fn frame_field_count(tag: &str) -> Result<usize, CoreError> {
 
 type RawNode = (Option<NodeId>, Frame, MetricStore);
 
-fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
+/// Parses one node line; `sym_count` is the string table's length.
+fn parse_node_line(line: &str, sym_count: usize) -> Result<RawNode, CoreError> {
     let fields: Vec<&str> = line.split('\t').collect();
     if fields.len() < 2 {
         return Err(CoreError::parse("truncated node line".into()));
@@ -629,7 +631,7 @@ fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
     if fields.len() < 1 + nf + 1 {
         return Err(CoreError::parse("node line too short for frame".into()));
     }
-    let frame = Frame::from_record(&fields[1..1 + nf].join("\t"))?;
+    let frame = Frame::from_record(&fields[1..1 + nf].join("\t"), sym_count)?;
     let metric_count: usize = fields[1 + nf]
         .parse()
         .map_err(|e| CoreError::parse(format!("bad metric count: {e}")))?;
@@ -639,12 +641,23 @@ fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
         if fields.len() < pos + 7 {
             return Err(CoreError::parse("node line too short for metrics".into()));
         }
-        let kind = MetricKind::from_record(fields[pos])?;
+        let kind = MetricKind::from_record(fields[pos], sym_count)?;
         let stat = MetricStat::from_record_fields(fields[pos + 1..pos + 7].iter().copied())?;
         metrics.merge_stat(kind, &stat);
         pos += 7;
     }
     Ok((parent, frame, metrics))
+}
+
+/// Parses one field at its stored width, so an out-of-range value
+/// fails instead of wrapping.
+pub(crate) fn parse_num<T>(s: &str, what: &str) -> Result<T, CoreError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    s.parse()
+        .map_err(|e| CoreError::parse(format!("bad {what}: {e}")))
 }
 
 fn escape(s: &str) -> String {
@@ -947,6 +960,74 @@ mod tests {
         // Truncation inside the timeline body.
         let cut = text.find("tnames\t").unwrap() + 3;
         assert!(ProfileDb::load(&text.as_bytes()[..cut]).is_err());
+    }
+
+    /// `text` with the field at `col` of the first line whose fields
+    /// satisfy `pick` replaced by `value`.
+    fn with_field(text: &str, pick: impl Fn(&[&str]) -> bool, col: usize, value: &str) -> String {
+        let mut done = false;
+        let mut out = String::new();
+        for line in text.lines() {
+            let mut fields: Vec<&str> = line.split('\t').collect();
+            if !done && pick(&fields) {
+                fields[col] = value;
+                done = true;
+            }
+            out.push_str(&fields.join("\t"));
+            out.push('\n');
+        }
+        assert!(done, "no line to edit");
+        out
+    }
+
+    #[test]
+    fn corrupt_node_section_errors_not_panics() {
+        let db = sample_db()
+            .with_timeline(sample_timeline())
+            .with_journal(sample_journal());
+        let mut buf = Vec::new();
+        db.save(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let kernel = |f: &[&str]| f.len() > 2 && f[1] == "K";
+        let operator = |f: &[&str]| f.len() > 2 && f[1] == "O";
+        let interval = |f: &[&str]| f.len() == 8 && f[4] == "K";
+        let event = |f: &[&str]| f.len() == 9 && f[7] == "to";
+        let bad = [
+            // Symbols past the string table.
+            with_field(&text, kernel, 2, "999"),
+            with_field(&text, kernel, 3, "999"),
+            // Narrow fields that would wrap to a valid value.
+            with_field(&text, kernel, 2, "4294967296"),
+            with_field(&text, operator, 3, "256"),
+            with_field(&text, interval, 0, "4294967296"),
+            with_field(&text, interval, 1, "4294967296"),
+            with_field(&text, interval, 5, "4294967296"),
+            with_field(&text, event, 3, "4294967296"),
+            // A custom metric naming a missing string; a base metric code
+            // that would wrap to GpuTime.
+            with_field(&text, kernel, 6, "C999"),
+            with_field(&text, kernel, 6, "B256"),
+            // Oversized section counts.
+            with_field(&text, |f| f[0] == "strings", 1, "99999999999999999"),
+            with_field(&text, |f| f[0] == "nodes", 1, "99999999999999999"),
+            with_field(&text, |f| f[0] == "timeline", 1, "99999999999999999"),
+            with_field(&text, |f| f[0] == "tnames", 1, "99999999999999999"),
+            with_field(&text, |f| f[0] == "journal", 1, "99999999999999999"),
+            with_field(&text, |f| f[0] == "jnames", 1, "99999999999999999"),
+            with_field(&text, event, 4, "9223372036854775807"),
+        ];
+        for (i, text) in bad.iter().enumerate() {
+            assert!(ProfileDb::load(text.as_bytes()).is_err(), "case {i}");
+        }
+        // A repeated string-table entry would shift every later symbol.
+        let mut lines: Vec<&str> = text.lines().collect();
+        let strings = lines
+            .iter()
+            .position(|l| l.starts_with("strings\t"))
+            .unwrap();
+        lines[strings + 2] = lines[strings + 1];
+        let dup = lines.join("\n") + "\n";
+        assert!(ProfileDb::load(dup.as_bytes()).is_err(), "duplicate string");
     }
 
     #[test]

@@ -631,28 +631,35 @@ impl Frame {
         }
     }
 
-    pub(crate) fn from_record(record: &str) -> Result<Frame, crate::CoreError> {
+    /// Parses a [`to_record`](Self::to_record) record. Every field
+    /// parses at its stored width, and every symbol must index the
+    /// profile's string table of `sym_count` entries, so a corrupt
+    /// record fails here instead of wrapping to a valid value or
+    /// panicking later in [`Interner::resolve`].
+    pub(crate) fn from_record(record: &str, sym_count: usize) -> Result<Frame, crate::CoreError> {
         let mut parts = record.split('\t');
         let tag = parts.next().unwrap_or("");
-        let mut num = |what: &str| -> Result<u64, crate::CoreError> {
-            parts
-                .next()
-                .ok_or_else(|| crate::CoreError::parse(format!("missing {what} in frame record")))?
-                .parse::<i64>()
-                .map(|v| v as u64)
-                .map_err(|e| crate::CoreError::parse(format!("bad {what}: {e}")))
+        let parts = &mut parts;
+        let sym = |parts: &mut std::str::Split<'_, char>, what: &str| {
+            let idx: u32 = record_field(parts, what)?;
+            if idx as usize >= sym_count {
+                return Err(crate::CoreError::parse(format!(
+                    "{what} symbol {idx} out of range"
+                )));
+            }
+            Ok(Sym(idx))
         };
         let frame = match tag {
             "R" => Frame::Root,
             "T" => {
-                let tid = num("tid")?;
-                let role = role_from_code(num("role")? as u8)?;
+                let tid = record_field(parts, "tid")?;
+                let role = role_from_code(record_field(parts, "role")?)?;
                 Frame::Thread { tid, role }
             }
             "P" => {
-                let file = Sym(num("file")? as u32);
-                let line = num("line")? as u32;
-                let function = Sym(num("function")? as u32);
+                let file = sym(parts, "file")?;
+                let line = record_field(parts, "line")?;
+                let function = sym(parts, "function")?;
                 Frame::Python {
                     file,
                     line,
@@ -660,9 +667,9 @@ impl Frame {
                 }
             }
             "O" => {
-                let name = Sym(num("name")? as u32);
-                let phase = phase_from_code(num("phase")? as u8)?;
-                let raw = num("seq")? as i64;
+                let name = sym(parts, "name")?;
+                let phase = phase_from_code(record_field(parts, "phase")?)?;
+                let raw: i64 = record_field(parts, "seq")?;
                 let seq_id = if raw < 0 { None } else { Some(raw as u64) };
                 Frame::Operator {
                     name,
@@ -671,9 +678,9 @@ impl Frame {
                 }
             }
             "N" => {
-                let library = Sym(num("library")? as u32);
-                let pc = num("pc")?;
-                let symbol = Sym(num("symbol")? as u32);
+                let library = sym(parts, "library")?;
+                let pc = record_field(parts, "pc")?;
+                let symbol = sym(parts, "symbol")?;
                 Frame::Native {
                     library,
                     pc,
@@ -681,18 +688,20 @@ impl Frame {
                 }
             }
             "A" => {
-                let name = Sym(num("name")? as u32);
-                let library = Sym(num("library")? as u32);
-                let pc = num("pc")?;
+                let name = sym(parts, "name")?;
+                let library = sym(parts, "library")?;
+                let pc = record_field(parts, "pc")?;
                 Frame::GpuApi { name, library, pc }
             }
             "K" => {
-                let name = Sym(num("name")? as u32);
-                let module = Sym(num("module")? as u32);
-                let pc = num("pc")?;
+                let name = sym(parts, "name")?;
+                let module = sym(parts, "module")?;
+                let pc = record_field(parts, "pc")?;
                 Frame::GpuKernel { name, module, pc }
             }
-            "I" => Frame::Instruction { pc: num("pc")? },
+            "I" => Frame::Instruction {
+                pc: record_field(parts, "pc")?,
+            },
             other => {
                 return Err(crate::CoreError::parse(format!(
                     "unknown frame tag {other:?}"
@@ -710,6 +719,18 @@ fn role_code(role: ThreadRole) -> u8 {
         ThreadRole::DataLoader => 2,
         ThreadRole::Worker => 3,
     }
+}
+
+/// The next tab-separated field of a frame record, parsed as `T`.
+fn record_field<T>(parts: &mut std::str::Split<'_, char>, what: &str) -> Result<T, crate::CoreError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let field = parts
+        .next()
+        .ok_or_else(|| crate::CoreError::parse(format!("missing {what} in frame record")))?;
+    crate::db::parse_num(field, what)
 }
 
 fn role_from_code(code: u8) -> Result<ThreadRole, crate::CoreError> {
@@ -821,7 +842,7 @@ mod tests {
         ];
         for f in frames {
             let rec = f.to_record();
-            let back = Frame::from_record(&rec).unwrap();
+            let back = Frame::from_record(&rec, i.len()).unwrap();
             assert_eq!(f, back, "record {rec:?}");
         }
     }

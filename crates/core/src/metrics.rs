@@ -194,17 +194,26 @@ impl MetricKind {
         }
     }
 
-    pub(crate) fn from_record(s: &str) -> Result<Self, crate::CoreError> {
+    /// Parses a [`to_record`](Self::to_record) record; a custom
+    /// metric's name must index the profile's string table of
+    /// `sym_count` entries.
+    pub(crate) fn from_record(s: &str, sym_count: usize) -> Result<Self, crate::CoreError> {
         let (tag, rest) = s.split_at(1.min(s.len()));
         let n: u32 = rest
             .parse()
             .map_err(|e| crate::CoreError::parse(format!("bad metric kind {s:?}: {e}")))?;
+        let code = u8::try_from(n).ok();
         match tag {
-            "S" => StallReason::from_code(n as u8)
+            "S" => code
+                .and_then(StallReason::from_code)
                 .map(MetricKind::Stall)
                 .ok_or_else(|| crate::CoreError::parse(format!("bad stall code {n}"))),
+            "C" if n as usize >= sym_count => Err(crate::CoreError::parse(format!(
+                "custom metric symbol {n} out of range"
+            ))),
             "C" => Ok(MetricKind::Custom(Sym(n))),
-            "B" => MetricKind::from_base_code(n as u8)
+            "B" => code
+                .and_then(MetricKind::from_base_code)
                 .ok_or_else(|| crate::CoreError::parse(format!("bad metric code {n}"))),
             other => Err(crate::CoreError::parse(format!("bad metric tag {other:?}"))),
         }
@@ -865,7 +874,11 @@ mod tests {
         ];
         for k in kinds {
             let rec = k.to_record();
-            assert_eq!(MetricKind::from_record(&rec).unwrap(), k, "record {rec:?}");
+            assert_eq!(
+                MetricKind::from_record(&rec, usize::MAX).unwrap(),
+                k,
+                "record {rec:?}"
+            );
         }
     }
 

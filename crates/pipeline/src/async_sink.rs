@@ -116,11 +116,6 @@ pub struct PipelineConfig {
     /// [`ShardedSink`] in a [`BatchingSink`](crate::BatchingSink) when
     /// this is above 1.
     pub launch_batch: usize,
-    /// Which correlation-directory layout the sink uses (see
-    /// [`crate::directory`]). The default honours the
-    /// `DEEPCONTEXT_DIRECTORY_MAP` environment override
-    /// ([`default_directory_map`](crate::default_directory_map)).
-    pub directory_map: crate::DirectoryMapKind,
     /// Deterministic fault-injection registry for the pipeline's sites
     /// (see [`crate::failpoint`]). The default honours the
     /// `DEEPCONTEXT_FAILPOINTS` environment spec; when no spec is set
@@ -135,7 +130,6 @@ impl Default for PipelineConfig {
             queue_capacity: 256,
             backpressure: BackpressurePolicy::Block,
             launch_batch: crate::default_launch_batch(),
-            directory_map: crate::default_directory_map(),
             failpoints: Failpoints::from_env(),
         }
     }

@@ -1,24 +1,12 @@
-//! The pluggable correlation directory.
+//! The correlation directory.
 //!
 //! The directory maps `correlation id → home shard` so asynchronous
 //! activity records — which carry no thread identity — find the shard
 //! their launch was routed to. It sits on the producer-side enqueue
 //! path (bind on every launch flush, lookup on every activity record),
-//! which makes its concrete layout a measurable tuning knob. This
-//! module puts that choice behind the [`DirectoryMap`] trait with two
-//! implementations benchmarked head-to-head by `bench_pipeline`:
-//!
-//! * [`StripedHashDirectory`] — the historical layout: lock stripes of
-//!   `std::collections::HashMap` keyed by one splitmix64 round;
-//! * [`StripedFlatDirectory`] — lock stripes of an open-addressing flat
-//!   table (linear probing, backward-shift deletion): no per-entry
-//!   indirection, one cache line per probe on the common hit.
-//!
-//! Select with [`PipelineConfig::directory_map`] or the
-//! `DEEPCONTEXT_DIRECTORY_MAP` environment variable (`striped` /
-//! `flat`); [`default_directory_map`] resolves the default.
-//!
-//! [`PipelineConfig::directory_map`]: crate::PipelineConfig::directory_map
+//! so it is lock-striped: [`StripedHashDirectory`] keeps one
+//! `HashMap` per stripe, keyed by one splitmix64 round, and binding and
+//! resolving rarely contend.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,56 +23,23 @@ pub(crate) fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-entry byte estimate shared by peak accounting (key + value + map
-/// overhead), kept identical across implementations so memory numbers
-/// stay comparable when the map is swapped.
+/// Per-entry byte estimate for the sink's peak accounting (key + value +
+/// map overhead).
 pub(crate) const DIR_ENTRY_BYTES: usize =
     std::mem::size_of::<u64>() + std::mem::size_of::<u32>() + 16;
 
-/// Events per stack-allocated chunk in [`DirectoryMap::bind_batch`]
-/// implementations.
+/// Events per stack-allocated chunk in
+/// [`StripedHashDirectory::bind_batch`].
 const BIND_CHUNK: usize = 256;
 
-/// A concurrent `correlation id → home shard` directory.
-///
-/// Implementations are internally synchronized (lock-striped) and track
-/// their own live-entry count, so [`len`](DirectoryMap::len) never
-/// contends with binding.
-pub trait DirectoryMap: Send + Sync {
-    /// Registers `corr`'s home shard (idempotent; later binds win).
-    fn bind(&self, corr: u64, shard: u32);
+/// Most stripes a directory holds: `bind_batch` records each event's
+/// stripe as a `u16`. Beyond this, shards share stripes (a stripe is
+/// only a lock, so routing is unaffected).
+const MAX_STRIPES: usize = 1 << 16;
 
-    /// [`bind`](Self::bind) for a whole launch batch in one striped
-    /// pass: each stripe holding any of `corrs` is locked exactly once,
-    /// so a flushed thread-local batch pays one lock round-trip per
-    /// *stripe touched* instead of one per launch.
-    fn bind_batch(&self, corrs: &[u64], shard: u32);
-
-    /// The home shard `corr` was bound to, if any.
-    fn lookup(&self, corr: u64) -> Option<u32>;
-
-    /// Removes `corr`'s binding, returning the shard it pointed at.
-    fn remove(&self, corr: u64) -> Option<u32>;
-
-    /// Live entries across all stripes (lock-free).
-    fn len(&self) -> usize;
-
-    /// Whether the directory holds no bindings.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sheds high-water capacity after a flush boundary.
-    fn trim(&self);
-
-    /// Approximate heap bytes held (capacity-based, for tool-memory
-    /// accounting).
-    fn approx_bytes(&self) -> usize;
-}
-
-/// Hasher for the hash directory's `u64` keys: one splitmix64 round
-/// instead of SipHash — the default hasher's setup cost is measurable on
-/// the enqueue path.
+/// Hasher for the directory's `u64` keys: one splitmix64 round instead
+/// of SipHash — the default hasher's setup cost is measurable on the
+/// enqueue path.
 #[derive(Default, Clone)]
 struct CorrHasher(u64);
 
@@ -118,19 +73,20 @@ impl std::hash::BuildHasher for CorrHashBuilder {
 
 type HashStripe = std::collections::HashMap<u64, u32, CorrHashBuilder>;
 
-/// The historical directory layout: lock stripes of `HashMap` keyed by
-/// one splitmix64 round.
-pub struct StripedHashDirectory {
+/// A concurrent `correlation id → home shard` directory: lock stripes
+/// of `HashMap` keyed by one splitmix64 round. It tracks its own
+/// live-entry count, so [`len`](Self::len) never contends with binding.
+pub(crate) struct StripedHashDirectory {
     stripes: Vec<Mutex<HashStripe>>,
     entries: AtomicUsize,
 }
 
 impl StripedHashDirectory {
-    /// Creates a directory with `stripes` lock stripes (clamped to at
-    /// least one).
-    pub fn new(stripes: usize) -> Self {
+    /// Creates a directory with `stripes` lock stripes (clamped to
+    /// `1..=MAX_STRIPES`).
+    pub(crate) fn new(stripes: usize) -> Self {
         StripedHashDirectory {
-            stripes: (0..stripes.max(1))
+            stripes: (0..stripes.clamp(1, MAX_STRIPES))
                 .map(|_| Mutex::new(HashStripe::default()))
                 .collect(),
             entries: AtomicUsize::new(0),
@@ -140,10 +96,9 @@ impl StripedHashDirectory {
     fn stripe_of(&self, corr: u64) -> usize {
         (mix(corr) % self.stripes.len() as u64) as usize
     }
-}
 
-impl DirectoryMap for StripedHashDirectory {
-    fn bind(&self, corr: u64, shard: u32) {
+    /// Registers `corr`'s home shard (idempotent; later binds win).
+    pub(crate) fn bind(&self, corr: u64, shard: u32) {
         if self.stripes[self.stripe_of(corr)]
             .lock()
             .insert(corr, shard)
@@ -153,13 +108,17 @@ impl DirectoryMap for StripedHashDirectory {
         }
     }
 
-    fn bind_batch(&self, corrs: &[u64], shard: u32) {
+    /// [`bind`](Self::bind) for a whole launch batch in one striped
+    /// pass: each stripe holding any of `corrs` is locked exactly once,
+    /// so a flushed thread-local batch pays one lock round-trip per
+    /// *stripe touched* instead of one per launch.
+    pub(crate) fn bind_batch(&self, corrs: &[u64], shard: u32) {
         match corrs.len() {
             0 => {}
             1 => self.bind(corrs[0], shard),
             _ => {
                 // Allocation-free: each chunk's stripe indices live on
-                // the stack.
+                // the stack (`u16` suffices: see `MAX_STRIPES`).
                 for chunk in corrs.chunks(BIND_CHUNK) {
                     let mut slots = [0u16; BIND_CHUNK];
                     for (slot, corr) in slots.iter_mut().zip(chunk) {
@@ -191,14 +150,16 @@ impl DirectoryMap for StripedHashDirectory {
         }
     }
 
-    fn lookup(&self, corr: u64) -> Option<u32> {
+    /// The home shard `corr` was bound to, if any.
+    pub(crate) fn lookup(&self, corr: u64) -> Option<u32> {
         self.stripes[self.stripe_of(corr)]
             .lock()
             .get(&corr)
             .copied()
     }
 
-    fn remove(&self, corr: u64) -> Option<u32> {
+    /// Removes `corr`'s binding, returning the shard it pointed at.
+    pub(crate) fn remove(&self, corr: u64) -> Option<u32> {
         let removed = self.stripes[self.stripe_of(corr)].lock().remove(&corr);
         if removed.is_some() {
             self.entries.fetch_sub(1, Ordering::Relaxed);
@@ -206,11 +167,13 @@ impl DirectoryMap for StripedHashDirectory {
         removed
     }
 
-    fn len(&self) -> usize {
+    /// Live entries across all stripes (lock-free).
+    pub(crate) fn len(&self) -> usize {
         self.entries.load(Ordering::Relaxed)
     }
 
-    fn trim(&self) {
+    /// Sheds high-water capacity after a flush boundary.
+    pub(crate) fn trim(&self) {
         for stripe in &self.stripes {
             let mut map = stripe.lock();
             if map.capacity() > 64 && map.capacity() / 4 > map.len() {
@@ -219,7 +182,9 @@ impl DirectoryMap for StripedHashDirectory {
         }
     }
 
-    fn approx_bytes(&self) -> usize {
+    /// Approximate heap bytes held (capacity-based, for tool-memory
+    /// accounting).
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.stripes
             .iter()
             .map(|s| s.lock().capacity() * DIR_ENTRY_BYTES)
@@ -227,450 +192,136 @@ impl DirectoryMap for StripedHashDirectory {
     }
 }
 
-/// One slot of a flat stripe. `full` distinguishes occupancy without
-/// reserving sentinel keys, so `0` and `u64::MAX` are ordinary
-/// correlations.
-#[derive(Clone, Copy, Default)]
-struct FlatSlot {
-    key: u64,
-    val: u32,
-    full: bool,
-}
-
-/// One open-addressing table: linear probing on a power-of-two slot
-/// array, ≤ 3/4 load, backward-shift deletion (no tombstones, so probe
-/// chains never rot under the bind/retire churn of a long session).
-#[derive(Default)]
-struct FlatStripe {
-    slots: Vec<FlatSlot>,
-    len: usize,
-}
-
-impl FlatStripe {
-    const MIN_CAPACITY: usize = 16;
-
-    /// Probe start for a pre-mixed key: the stripe index consumed the
-    /// mix's low bits (modulo), the probe start uses the high half so
-    /// stripe-mates still spread. Callers mix once per operation and
-    /// thread the hash through — the directory ops are on the enqueue
-    /// path, where a second splitmix round per op is measurable.
-    fn home_of(&self, hash: u64) -> usize {
-        (hash >> 32) as usize & (self.slots.len() - 1)
-    }
-
-    fn probe(&self, key: u64, hash: u64) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = self.home_of(hash);
-        loop {
-            let slot = &self.slots[idx];
-            if !slot.full {
-                return None;
-            }
-            if slot.key == key {
-                return Some(idx);
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, key: u64, hash: u64, val: u32) -> bool {
-        if self.slots.len() * 3 < (self.len + 1) * 4 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = self.home_of(hash);
-        loop {
-            let slot = &mut self.slots[idx];
-            if !slot.full {
-                *slot = FlatSlot {
-                    key,
-                    val,
-                    full: true,
-                };
-                self.len += 1;
-                return true;
-            }
-            if slot.key == key {
-                slot.val = val;
-                return false;
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
-    fn remove(&mut self, key: u64, hash: u64) -> Option<u32> {
-        let mut hole = self.probe(key, hash)?;
-        let val = self.slots[hole].val;
-        let mask = self.slots.len() - 1;
-        // Backward-shift deletion: walk the cluster after the hole and
-        // pull back every entry whose home position does not sit in
-        // (hole, idx] — the invariant linear probing needs to keep every
-        // surviving key reachable without tombstones. Re-mixing the
-        // cluster keys here is fine: clusters are short at ≤ 3/4 load
-        // and removes are already the rarest of the three ops.
-        let mut idx = (hole + 1) & mask;
-        while self.slots[idx].full {
-            let home = self.home_of(mix(self.slots[idx].key));
-            // "home not in the (hole, idx] window" in wrap-around index
-            // arithmetic.
-            if (idx.wrapping_sub(home) & mask) >= (idx.wrapping_sub(hole) & mask) {
-                self.slots[hole] = self.slots[idx];
-                hole = idx;
-            }
-            idx = (idx + 1) & mask;
-        }
-        self.slots[hole] = FlatSlot::default();
-        self.len -= 1;
-        Some(val)
-    }
-
-    fn grow(&mut self) {
-        let capacity = (self.slots.len() * 2).max(Self::MIN_CAPACITY);
-        self.rebuild(capacity);
-    }
-
-    fn rebuild(&mut self, capacity: usize) {
-        debug_assert!(capacity.is_power_of_two() && capacity * 3 >= self.len * 4);
-        let old = std::mem::replace(&mut self.slots, vec![FlatSlot::default(); capacity]);
-        let prev_len = self.len;
-        self.len = 0;
-        for slot in old {
-            if slot.full {
-                self.insert(slot.key, mix(slot.key), slot.val);
-            }
-        }
-        debug_assert_eq!(self.len, prev_len);
-    }
-
-    fn trim(&mut self) {
-        if self.len == 0 {
-            if !self.slots.is_empty() {
-                self.slots = Vec::new();
-            }
-            return;
-        }
-        if self.slots.len() > 64 && self.slots.len() / 4 > self.len {
-            // Smallest power of two keeping the load under 3/4.
-            let capacity = (self.len * 2).next_power_of_two().max(Self::MIN_CAPACITY);
-            if capacity < self.slots.len() {
-                self.rebuild(capacity);
-            }
-        }
-    }
-}
-
-/// The flat directory layout: lock stripes of open-addressing tables
-/// (see [`FlatStripe`]'s invariants above).
-pub struct StripedFlatDirectory {
-    stripes: Vec<Mutex<FlatStripe>>,
-    entries: AtomicUsize,
-}
-
-impl StripedFlatDirectory {
-    /// Creates a directory with `stripes` lock stripes (clamped to at
-    /// least one). Slot arrays are allocated lazily on first bind.
-    pub fn new(stripes: usize) -> Self {
-        StripedFlatDirectory {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(FlatStripe::default()))
-                .collect(),
-            entries: AtomicUsize::new(0),
-        }
-    }
-
-    /// One splitmix round serves both placements: stripe index from the
-    /// low bits, probe start ([`FlatStripe::home_of`]) from the high
-    /// half.
-    fn place(&self, corr: u64) -> (usize, u64) {
-        let hash = mix(corr);
-        ((hash % self.stripes.len() as u64) as usize, hash)
-    }
-}
-
-impl DirectoryMap for StripedFlatDirectory {
-    fn bind(&self, corr: u64, shard: u32) {
-        let (stripe, hash) = self.place(corr);
-        if self.stripes[stripe].lock().insert(corr, hash, shard) {
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn bind_batch(&self, corrs: &[u64], shard: u32) {
-        match corrs.len() {
-            0 => {}
-            1 => self.bind(corrs[0], shard),
-            _ => {
-                for chunk in corrs.chunks(BIND_CHUNK) {
-                    let mut slots = [0u16; BIND_CHUNK];
-                    let mut hashes = [0u64; BIND_CHUNK];
-                    for ((slot, hash), corr) in slots.iter_mut().zip(&mut hashes).zip(chunk) {
-                        let (stripe, h) = self.place(*corr);
-                        *slot = stripe as u16;
-                        *hash = h;
-                    }
-                    let mut remaining = chunk.len();
-                    for stripe in 0..self.stripes.len() {
-                        if remaining == 0 {
-                            break;
-                        }
-                        let mut map = None;
-                        let mut added = 0usize;
-                        for ((corr, slot), hash) in chunk.iter().zip(&slots).zip(&hashes) {
-                            if *slot as usize != stripe {
-                                continue;
-                            }
-                            let map = map.get_or_insert_with(|| self.stripes[stripe].lock());
-                            if map.insert(*corr, *hash, shard) {
-                                added += 1;
-                            }
-                            remaining -= 1;
-                        }
-                        if added > 0 {
-                            self.entries.fetch_add(added, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn lookup(&self, corr: u64) -> Option<u32> {
-        let (stripe, hash) = self.place(corr);
-        let stripe = self.stripes[stripe].lock();
-        stripe.probe(corr, hash).map(|idx| stripe.slots[idx].val)
-    }
-
-    fn remove(&self, corr: u64) -> Option<u32> {
-        let (stripe, hash) = self.place(corr);
-        let removed = self.stripes[stripe].lock().remove(corr, hash);
-        if removed.is_some() {
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
-    fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
-    }
-
-    fn trim(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().trim();
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().slots.len() * std::mem::size_of::<FlatSlot>())
-            .sum()
-    }
-}
-
-/// Which [`DirectoryMap`] implementation a sink uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectoryMapKind {
-    /// [`StripedHashDirectory`] — lock stripes of `HashMap`. The
-    /// default: `bench_pipeline`'s head-to-head has it ahead of the flat
-    /// layout on the bind/lookup/retire cycle (the standard map's
-    /// SwissTable probing beats linear probing + backward-shift deletion
-    /// here; see `BENCH_pipeline.json`, `directory_flat_speedup`).
-    #[default]
-    Striped,
-    /// [`StripedFlatDirectory`] — lock stripes of open-addressing flat
-    /// tables: no per-entry indirection and exact capacity-based memory
-    /// accounting, a few percent behind on raw throughput.
-    Flat,
-}
-
-impl DirectoryMapKind {
-    /// Builds a directory of this kind with `stripes` lock stripes.
-    pub fn build(self, stripes: usize) -> Box<dyn DirectoryMap> {
-        match self {
-            DirectoryMapKind::Striped => Box::new(StripedHashDirectory::new(stripes)),
-            DirectoryMapKind::Flat => Box::new(StripedFlatDirectory::new(stripes)),
-        }
-    }
-
-    /// Stable name (CI matrix values, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            DirectoryMapKind::Striped => "striped",
-            DirectoryMapKind::Flat => "flat",
-        }
-    }
-}
-
-/// The default directory-map kind, honouring the
-/// `DEEPCONTEXT_DIRECTORY_MAP` environment override (`striped` / `flat`)
-/// CI uses to run the whole suite under both layouts. Falls back to
-/// [`DirectoryMapKind::Striped`] when unset or invalid.
-pub fn default_directory_map() -> DirectoryMapKind {
-    match std::env::var("DEEPCONTEXT_DIRECTORY_MAP") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("striped") => DirectoryMapKind::Striped,
-        Ok(v) if v.trim().eq_ignore_ascii_case("flat") => DirectoryMapKind::Flat,
-        _ => DirectoryMapKind::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds() -> [(&'static str, Box<dyn DirectoryMap>); 2] {
-        [
-            ("striped", DirectoryMapKind::Striped.build(4)),
-            ("flat", DirectoryMapKind::Flat.build(4)),
-        ]
-    }
-
     #[test]
     fn bind_lookup_remove_round_trip() {
-        for (name, dir) in kinds() {
-            assert!(dir.is_empty(), "{name}");
-            dir.bind(7, 3);
-            dir.bind(u64::MAX, 1);
-            dir.bind(0, 2);
-            assert_eq!(dir.lookup(7), Some(3), "{name}");
-            assert_eq!(dir.lookup(u64::MAX), Some(1), "{name}");
-            assert_eq!(dir.lookup(0), Some(2), "{name}");
-            assert_eq!(dir.lookup(8), None, "{name}");
-            assert_eq!(dir.len(), 3, "{name}");
-            dir.bind(7, 5);
-            assert_eq!(dir.lookup(7), Some(5), "{name}: later binds win");
-            assert_eq!(dir.len(), 3, "{name}: rebind is not a new entry");
-            assert_eq!(dir.remove(7), Some(5), "{name}");
-            assert_eq!(dir.remove(7), None, "{name}");
-            assert_eq!(dir.lookup(7), None, "{name}");
-            assert_eq!(dir.len(), 2, "{name}");
-        }
+        let dir = StripedHashDirectory::new(4);
+        assert_eq!(dir.len(), 0);
+        dir.bind(7, 3);
+        dir.bind(u64::MAX, 1);
+        dir.bind(0, 2);
+        assert_eq!(dir.lookup(7), Some(3));
+        assert_eq!(dir.lookup(u64::MAX), Some(1));
+        assert_eq!(dir.lookup(0), Some(2));
+        assert_eq!(dir.lookup(8), None);
+        assert_eq!(dir.len(), 3);
+        dir.bind(7, 5);
+        assert_eq!(dir.lookup(7), Some(5), "later binds win");
+        assert_eq!(dir.len(), 3, "rebind is not a new entry");
+        assert_eq!(dir.remove(7), Some(5));
+        assert_eq!(dir.remove(7), None);
+        assert_eq!(dir.lookup(7), None);
+        assert_eq!(dir.len(), 2);
     }
 
     #[test]
     fn bind_batch_matches_singles() {
         // Spans several BIND_CHUNK chunks and all stripes.
         let corrs: Vec<u64> = (0..1000).map(|n| n * 11).collect();
-        for (name, dir) in kinds() {
-            dir.bind_batch(&corrs, 6);
-            assert_eq!(dir.len(), corrs.len(), "{name}");
-            for corr in &corrs {
-                assert_eq!(dir.lookup(*corr), Some(6), "{name}: corr {corr}");
-            }
-            // Re-binding the same batch adds nothing.
-            dir.bind_batch(&corrs, 6);
-            assert_eq!(dir.len(), corrs.len(), "{name}");
+        let dir = StripedHashDirectory::new(4);
+        dir.bind_batch(&corrs, 6);
+        assert_eq!(dir.len(), corrs.len());
+        for corr in &corrs {
+            assert_eq!(dir.lookup(*corr), Some(6), "corr {corr}");
         }
+        // Re-binding the same batch adds nothing.
+        dir.bind_batch(&corrs, 6);
+        assert_eq!(dir.len(), corrs.len());
+    }
+
+    #[test]
+    fn bind_batch_finds_every_binding_past_u16_stripes() {
+        // More shards than a `u16` stripe index can name: every batched
+        // binding must still be found by `lookup`.
+        let dir = StripedHashDirectory::new(MAX_STRIPES + 4_464);
+        let corrs: Vec<u64> = (0..2 * BIND_CHUNK as u64).collect();
+        dir.bind_batch(&corrs, 9);
+        assert_eq!(dir.len(), corrs.len());
+        let lost = corrs.iter().filter(|c| dir.lookup(**c) != Some(9)).count();
+        assert_eq!(lost, 0, "batched bindings lost to lookup");
     }
 
     #[test]
     fn matches_a_std_hashmap_oracle_under_churn() {
         // Deterministic mixed workload: insert / lookup / remove in a
-        // pattern that forces flat-table probe clusters and
-        // backward-shift deletions, checked slot-for-slot against
-        // std::collections::HashMap.
-        for (name, dir) in kinds() {
-            let mut oracle = std::collections::HashMap::new();
-            let mut state = 0x243f_6a88_85a3_08d3u64; // deterministic LCG
-            for step in 0..20_000u64 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // Small key space so collisions and reuse are common.
-                let key = state >> 56;
-                match step % 3 {
-                    0 | 1 => {
-                        let shard = (step % 13) as u32;
-                        dir.bind(key, shard);
-                        oracle.insert(key, shard);
-                    }
-                    _ => {
-                        assert_eq!(dir.remove(key), oracle.remove(&key), "{name} step {step}");
-                    }
+        // pattern with frequent collisions and key reuse, checked
+        // against std::collections::HashMap.
+        let dir = StripedHashDirectory::new(4);
+        let mut oracle = std::collections::HashMap::new();
+        let mut state = 0x243f_6a88_85a3_08d3u64; // deterministic LCG
+        for step in 0..20_000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Small key space so collisions and reuse are common.
+            let key = state >> 56;
+            match step % 3 {
+                0 | 1 => {
+                    let shard = (step % 13) as u32;
+                    dir.bind(key, shard);
+                    oracle.insert(key, shard);
                 }
-                assert_eq!(
-                    dir.lookup(key),
-                    oracle.get(&key).copied(),
-                    "{name} step {step}"
-                );
+                _ => {
+                    assert_eq!(dir.remove(key), oracle.remove(&key), "step {step}");
+                }
             }
-            assert_eq!(dir.len(), oracle.len(), "{name}");
-            for (key, shard) in &oracle {
-                assert_eq!(dir.lookup(*key), Some(*shard), "{name} final key {key}");
-            }
+            assert_eq!(dir.lookup(key), oracle.get(&key).copied(), "step {step}");
+        }
+        assert_eq!(dir.len(), oracle.len());
+        for (key, shard) in &oracle {
+            assert_eq!(dir.lookup(*key), Some(*shard), "final key {key}");
         }
     }
 
     #[test]
     fn trim_sheds_capacity_and_preserves_entries() {
-        for (name, dir) in kinds() {
-            let corrs: Vec<u64> = (0..4096).collect();
-            dir.bind_batch(&corrs, 1);
-            let full = dir.approx_bytes();
-            for corr in corrs.iter().skip(16) {
-                dir.remove(*corr);
-            }
-            dir.trim();
-            assert!(
-                dir.approx_bytes() < full,
-                "{name}: trim sheds high-water capacity"
-            );
-            for corr in corrs.iter().take(16) {
-                assert_eq!(dir.lookup(*corr), Some(1), "{name}: survivors intact");
-            }
-            assert_eq!(dir.len(), 16, "{name}");
-            // Empty stripes shed down to (at most) the sub-trim-threshold
-            // residue — the flat layout releases its tables entirely.
-            for corr in corrs.iter().take(16) {
-                dir.remove(*corr);
-            }
-            dir.trim();
-            assert!(dir.is_empty(), "{name}");
-            assert!(
-                dir.approx_bytes() <= 64 * DIR_ENTRY_BYTES,
-                "{name}: empty directory keeps at most the trim threshold"
-            );
-            if name == "flat" {
-                assert_eq!(dir.approx_bytes(), 0, "flat: empty stripes hold no slots");
-            }
+        let dir = StripedHashDirectory::new(4);
+        let corrs: Vec<u64> = (0..4096).collect();
+        dir.bind_batch(&corrs, 1);
+        let full = dir.approx_bytes();
+        for corr in corrs.iter().skip(16) {
+            dir.remove(*corr);
         }
+        dir.trim();
+        assert!(dir.approx_bytes() < full, "trim sheds high-water capacity");
+        for corr in corrs.iter().take(16) {
+            assert_eq!(dir.lookup(*corr), Some(1), "survivors intact");
+        }
+        assert_eq!(dir.len(), 16);
+        // Empty stripes shed down to (at most) the sub-trim-threshold
+        // residue.
+        for corr in corrs.iter().take(16) {
+            dir.remove(*corr);
+        }
+        dir.trim();
+        assert_eq!(dir.len(), 0);
+        assert!(
+            dir.approx_bytes() <= 64 * DIR_ENTRY_BYTES,
+            "empty directory keeps at most the trim threshold"
+        );
     }
 
     #[test]
     fn concurrent_binds_and_lookups_agree() {
-        for (name, dir) in kinds() {
-            let dir = &dir;
-            std::thread::scope(|scope| {
-                for t in 0..8u64 {
-                    scope.spawn(move || {
-                        let base = t * 10_000;
-                        let corrs: Vec<u64> = (base..base + 500).collect();
-                        dir.bind_batch(&corrs, t as u32);
-                        for corr in &corrs {
-                            assert_eq!(dir.lookup(*corr), Some(t as u32));
-                        }
-                        for corr in corrs.iter().step_by(2) {
-                            assert_eq!(dir.remove(*corr), Some(t as u32));
-                        }
-                    });
-                }
-            });
-            assert_eq!(dir.len(), 8 * 250, "{name}");
-        }
-    }
-
-    #[test]
-    fn env_override_selects_kind() {
-        // Serialized by being the only test touching this variable.
-        std::env::set_var("DEEPCONTEXT_DIRECTORY_MAP", "striped");
-        assert_eq!(default_directory_map(), DirectoryMapKind::Striped);
-        std::env::set_var("DEEPCONTEXT_DIRECTORY_MAP", "FLAT");
-        assert_eq!(default_directory_map(), DirectoryMapKind::Flat);
-        std::env::set_var("DEEPCONTEXT_DIRECTORY_MAP", "bogus");
-        assert_eq!(default_directory_map(), DirectoryMapKind::default());
-        std::env::remove_var("DEEPCONTEXT_DIRECTORY_MAP");
-        assert_eq!(default_directory_map(), DirectoryMapKind::default());
+        let dir = &StripedHashDirectory::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                scope.spawn(move || {
+                    let base = t * 10_000;
+                    let corrs: Vec<u64> = (base..base + 500).collect();
+                    dir.bind_batch(&corrs, t as u32);
+                    for corr in &corrs {
+                        assert_eq!(dir.lookup(*corr), Some(t as u32));
+                    }
+                    for corr in corrs.iter().step_by(2) {
+                        assert_eq!(dir.remove(*corr), Some(t as u32));
+                    }
+                });
+            }
+        });
+        assert_eq!(dir.len(), 8 * 250);
     }
 }

@@ -62,7 +62,7 @@
 
 pub mod async_sink;
 pub mod batch;
-pub mod directory;
+mod directory;
 pub mod failpoint;
 pub mod self_telemetry;
 pub mod sharded;
@@ -71,10 +71,6 @@ pub mod supervisor;
 
 pub use async_sink::{AsyncSink, BackpressurePolicy, PipelineConfig};
 pub use batch::BatchingSink;
-pub use directory::{
-    default_directory_map, DirectoryMap, DirectoryMapKind, StripedFlatDirectory,
-    StripedHashDirectory,
-};
 pub use failpoint::Failpoints;
 pub use self_telemetry::PipelineTelemetry;
 pub use sharded::ShardedSink;
@@ -82,7 +78,7 @@ pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorSink, SupervisorState};
 
 // The self-telemetry types the profiler speaks (see
-// `ShardedSink::with_telemetry`), re-exported for the same reason.
+// `ShardedSink::with_journal`), re-exported for the same reason.
 pub use deepcontext_telemetry::{
     default_journal_config, default_journal_enabled, default_telemetry_config,
     default_telemetry_enabled, journal_sites, HealthReport, HealthThresholds, Journal,
@@ -117,6 +113,14 @@ pub fn default_launch_batch() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .map(|n| n.max(1))
         .unwrap_or(DEFAULT_LAUNCH_BATCH)
+}
+
+/// The correlation directory's layout name: always `"striped"`, the one
+/// layout there is (lock stripes of `HashMap`). Kept, reading no
+/// environment, so run headers that print the profiler's resolved
+/// defaults keep their directory-layout field.
+pub const fn default_directory_map() -> &'static str {
+    "striped"
 }
 
 /// Whether attribution runs inline on producers or on the worker pool.

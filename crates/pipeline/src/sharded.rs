@@ -26,7 +26,7 @@
 //!   exists for folds that must carry it along), and
 //!   [`ShardedSink::snapshot_uncached`] keeps the historical full fold
 //!   as baseline and test oracle. Memory-tight deployments can disable
-//!   the cache entirely ([`ShardedSink::with_options`]): snapshots then
+//!   the cache entirely ([`ShardedSink::with_timeline`]): snapshots then
 //!   re-fold every shard per request and the sink holds no second copy
 //!   of the profile.
 //!
@@ -67,7 +67,7 @@ use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 use crate::batch::ProducerEvent;
-use crate::directory::{mix, DirectoryMap, DirectoryMapKind, DIR_ENTRY_BYTES};
+use crate::directory::{mix, StripedHashDirectory, DIR_ENTRY_BYTES};
 use crate::self_telemetry::PipelineTelemetry;
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
 
@@ -121,10 +121,10 @@ pub struct ShardedSink {
     /// ingestion modes). `None` when timeline recording is off — the
     /// aggregate-only pipeline then pays nothing for it.
     timeline: Option<TimelineSink>,
-    /// Correlation id -> index of the shard it was bound in. Pluggable
-    /// ([`DirectoryMap`]): lock-striped by correlation hash in both
-    /// implementations, so binding and resolving rarely contend.
-    directory: Box<dyn DirectoryMap>,
+    /// Correlation id -> index of the shard it was bound in,
+    /// lock-striped by correlation hash so binding and resolving rarely
+    /// contend.
+    directory: StripedHashDirectory,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
@@ -156,141 +156,64 @@ impl ShardedSink {
     /// Creates a sink with `shard_count` shards (clamped to at least one)
     /// sharing `interner`, with the incremental snapshot cache enabled.
     pub fn new(interner: Arc<Interner>, shard_count: usize) -> Arc<Self> {
-        ShardedSink::with_options(interner, shard_count, true)
+        ShardedSink::with_timeline(interner, shard_count, true, &TimelineConfig::default())
     }
 
-    /// Creates a sink with `shard_count` shards and an explicit snapshot
+    /// Creates a sink with `shard_count` shards, an explicit snapshot
     /// cache setting (`snapshot_cache: false` trades warm-snapshot
-    /// latency for not holding a merged second copy of the profile).
-    pub fn with_options(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-    ) -> Arc<Self> {
-        ShardedSink::with_timeline(
-            interner,
-            shard_count,
-            snapshot_cache,
-            &TimelineConfig::default(),
-        )
-    }
-
-    /// [`with_options`](Self::with_options) plus timeline recording:
-    /// when `timeline.enabled`, every kernel/memcpy record attributed by
-    /// this sink also appends a context-tagged interval to a bounded
-    /// per-shard ring (see [`EventSink::timeline_snapshot`]). The
-    /// correlation directory defaults to
-    /// [`default_directory_map`](crate::default_directory_map) — use
-    /// [`with_directory_map`](Self::with_directory_map) to pin a layout.
+    /// latency for not holding a merged second copy of the profile) and
+    /// timeline recording: when `timeline.enabled`, every kernel/memcpy
+    /// record attributed by this sink also appends a context-tagged
+    /// interval to a bounded per-shard ring (see
+    /// [`EventSink::timeline_snapshot`]). Self-telemetry and the journal
+    /// stay off; fault injection follows the `DEEPCONTEXT_FAILPOINTS`
+    /// environment spec.
     pub fn with_timeline(
         interner: Arc<Interner>,
         shard_count: usize,
         snapshot_cache: bool,
         timeline: &TimelineConfig,
     ) -> Arc<Self> {
-        ShardedSink::with_directory_map(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            crate::default_directory_map(),
-        )
-    }
-
-    /// [`with_timeline`](Self::with_timeline) plus an explicit
-    /// correlation-directory layout
-    /// ([`PipelineConfig::directory_map`](crate::PipelineConfig::directory_map)).
-    /// Self-telemetry stays off on this path — use
-    /// [`with_telemetry`](Self::with_telemetry) to opt in.
-    pub fn with_directory_map(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-    ) -> Arc<Self> {
-        ShardedSink::with_telemetry(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            directory_map,
-            &TelemetryConfig::default(),
-        )
-    }
-
-    /// The full constructor: [`with_directory_map`](Self::with_directory_map)
-    /// plus self-telemetry. When `telemetry.enabled`, the sink registers
-    /// its instruments once and records shard-lock hold times, producer
-    /// flush sizes/latencies, snapshot fold latencies, and interner/ring
-    /// occupancy as it runs; when additionally `telemetry.self_timeline`
-    /// and the timeline are on, flushes and folds are recorded as
-    /// intervals on the reserved [`TrackKey::SELF_DEVICE`] tracks so the
-    /// exported trace shows the profiler's own execution.
-    pub fn with_telemetry(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-        telemetry: &TelemetryConfig,
-    ) -> Arc<Self> {
-        ShardedSink::with_failpoints(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            directory_map,
-            telemetry,
-            Failpoints::from_env(),
-        )
-    }
-
-    /// [`with_telemetry`](Self::with_telemetry) with an explicit
-    /// fault-injection registry instead of the `DEEPCONTEXT_FAILPOINTS`
-    /// environment spec — how tests inject directory-bind / fold stalls
-    /// without leaking state across tests through the process
-    /// environment. Incident journaling stays off on this path — use
-    /// [`with_journal`](Self::with_journal) to opt in.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_failpoints(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-        telemetry: &TelemetryConfig,
-        failpoints: Failpoints,
-    ) -> Arc<Self> {
         ShardedSink::with_journal(
             interner,
             shard_count,
             snapshot_cache,
             timeline,
-            directory_map,
-            telemetry,
-            failpoints,
+            &TelemetryConfig::default(),
+            Failpoints::from_env(),
             &JournalConfig::default(),
         )
     }
 
-    /// The full constructor: [`with_failpoints`](Self::with_failpoints)
-    /// plus the incident journal. When `journal.enabled`, the sink
-    /// builds the ring here — attached to the same telemetry session as
-    /// its own instruments, so journal timestamps, self-timeline
-    /// intervals and the `deepcontext_journal_*` counters share one
-    /// clock/registry — and records the barrier-anchored flush-boundary
-    /// event at every [`EventSink::epoch_complete`]. The async pipeline
-    /// / supervisor / profiler layers pick the handle up from
-    /// [`journal`](Self::journal) for quarantines, drop storms,
-    /// transitions and retries — one causally ordered record per run.
-    #[allow(clippy::too_many_arguments)]
+    /// The full constructor: [`with_timeline`](Self::with_timeline) plus
+    /// self-telemetry, an explicit fault-injection registry and the
+    /// incident journal.
+    ///
+    /// * When `telemetry.enabled`, the sink registers its instruments
+    ///   once and records shard-lock hold times, producer flush
+    ///   sizes/latencies, snapshot fold latencies, and interner/ring
+    ///   occupancy as it runs; when additionally
+    ///   `telemetry.self_timeline` and the timeline are on, flushes and
+    ///   folds are recorded as intervals on the reserved
+    ///   [`TrackKey::SELF_DEVICE`] tracks so the exported trace shows
+    ///   the profiler's own execution.
+    /// * `failpoints` replaces the `DEEPCONTEXT_FAILPOINTS` environment
+    ///   spec — how tests inject directory-bind / fold stalls without
+    ///   leaking state across tests through the process environment.
+    /// * When `journal.enabled`, the sink builds the ring here — attached
+    ///   to the same telemetry session as its own instruments, so journal
+    ///   timestamps, self-timeline intervals and the
+    ///   `deepcontext_journal_*` counters share one clock/registry — and
+    ///   records the barrier-anchored flush-boundary event at every
+    ///   [`EventSink::epoch_complete`]. The async pipeline / supervisor /
+    ///   profiler layers pick the handle up from
+    ///   [`journal`](Self::journal) for quarantines, drop storms,
+    ///   transitions and retries — one causally ordered record per run.
     pub fn with_journal(
         interner: Arc<Interner>,
         shard_count: usize,
         snapshot_cache: bool,
         timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
         telemetry: &TelemetryConfig,
         failpoints: Failpoints,
         journal: &JournalConfig,
@@ -307,7 +230,7 @@ impl ShardedSink {
             shards: (0..n)
                 .map(|_| Mutex::new(CctShard::new(Arc::clone(&interner))))
                 .collect(),
-            directory: directory_map.build(n),
+            directory: StripedHashDirectory::new(n),
             shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             cache_enabled: snapshot_cache,
             cache: Mutex::new(None),

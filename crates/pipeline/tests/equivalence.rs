@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use deepcontext_core::{CallPath, Frame, FrameKind, Interner, MetricKind, StoredJournal, TimeNs};
 use deepcontext_pipeline::{
-    default_directory_map, journal_sites, AsyncSink, BackpressurePolicy, BatchingSink, EventSink,
-    Failpoints, JournalConfig, PipelineConfig, ShardedSink, TelemetryConfig, TimelineConfig,
+    journal_sites, AsyncSink, BackpressurePolicy, BatchingSink, EventSink, Failpoints,
+    JournalConfig, PipelineConfig, ShardedSink, TelemetryConfig, TimelineConfig,
 };
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
@@ -315,7 +315,6 @@ fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize
             shards,
             true,
             &timeline,
-            default_directory_map(),
             &TelemetryConfig::default(),
             Failpoints::disabled(),
             &journal_config,

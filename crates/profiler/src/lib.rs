@@ -51,11 +51,10 @@ pub use sink::{
     default_journal_config, default_journal_enabled, default_launch_batch,
     default_telemetry_config, default_telemetry_enabled, default_timeline_config,
     default_timeline_enabled, journal_sites, AsyncSink, BackpressurePolicy, BatchingSink,
-    DirectoryMap, DirectoryMapKind, EventSink, Failpoints, HealthReport, HealthThresholds,
-    IngestionMode, Journal, JournalConfig, JournalSeverity, PipelineConfig, PipelineTelemetry,
-    ShardedSink, SinkCounters, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
-    Telemetry, TelemetryConfig, TelemetrySnapshot, TimelineConfig, TimelineSnapshot, TimelineStats,
-    DEFAULT_LAUNCH_BATCH,
+    EventSink, Failpoints, HealthReport, HealthThresholds, IngestionMode, Journal, JournalConfig,
+    JournalSeverity, PipelineConfig, PipelineTelemetry, ShardedSink, SinkCounters, Supervisor,
+    SupervisorConfig, SupervisorSink, SupervisorState, Telemetry, TelemetryConfig,
+    TelemetrySnapshot, TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
 };
 
 /// The default ingestion shard count, honouring the
@@ -307,7 +306,6 @@ impl Profiler {
             config.ingestion_shards,
             config.snapshot_cache,
             &config.timeline,
-            config.pipeline.directory_map,
             &config.telemetry,
             Failpoints::from_env(),
             &config.journal,

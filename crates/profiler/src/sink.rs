@@ -12,9 +12,8 @@ pub use deepcontext_pipeline::{
     default_journal_config, default_journal_enabled, default_launch_batch,
     default_telemetry_config, default_telemetry_enabled, default_timeline_config,
     default_timeline_enabled, journal_sites, AsyncSink, BackpressurePolicy, BatchingSink,
-    DirectoryMap, DirectoryMapKind, EventSink, Failpoints, HealthReport, HealthThresholds,
-    IngestionMode, Journal, JournalConfig, JournalSeverity, PipelineConfig, PipelineTelemetry,
-    ShardedSink, SinkCounters, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
-    Telemetry, TelemetryConfig, TelemetrySnapshot, TimelineConfig, TimelineSnapshot, TimelineStats,
-    DEFAULT_LAUNCH_BATCH,
+    EventSink, Failpoints, HealthReport, HealthThresholds, IngestionMode, Journal, JournalConfig,
+    JournalSeverity, PipelineConfig, PipelineTelemetry, ShardedSink, SinkCounters, Supervisor,
+    SupervisorConfig, SupervisorSink, SupervisorState, Telemetry, TelemetryConfig,
+    TelemetrySnapshot, TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
 };

@@ -143,7 +143,7 @@ impl EventSink for Tee {
 /// A single-shard pipeline of `mode`, without producer batching or
 /// snapshot cache.
 fn pipeline(interner: Arc<Interner>, mode: IngestionMode) -> Arc<dyn EventSink> {
-    let sharded = ShardedSink::with_options(interner, 1, false);
+    let sharded = ShardedSink::with_timeline(interner, 1, false, &TimelineConfig::default());
     match mode {
         IngestionMode::Sync => sharded,
         IngestionMode::Async => AsyncSink::new(
